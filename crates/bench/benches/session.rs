@@ -12,17 +12,17 @@ use khameleon_core::predictor::PredictorState;
 use khameleon_core::protocol::ClientMessage;
 use khameleon_core::scheduler::{GreedySchedulerConfig, SamplerVariant};
 use khameleon_core::server::{CatalogBackend, ServerConfig};
-use khameleon_core::session::{RoundRobin, Session, SessionManager, SharePolicy, WeightedFair};
+use khameleon_core::session::{Session, SessionManager, SharePolicy};
 use khameleon_core::types::{RequestId, Time};
 use khameleon_core::utility::{PowerUtility, UtilityModel};
 
-fn manager(sessions: usize, policy: Box<dyn SharePolicy>) -> SessionManager {
+fn manager(sessions: usize, policy: SharePolicy) -> SessionManager {
     manager_over(sessions, policy, 500, SamplerVariant::Lazy)
 }
 
 fn manager_over(
     sessions: usize,
-    policy: Box<dyn SharePolicy>,
+    policy: SharePolicy,
     n: usize,
     sampler: SamplerVariant,
 ) -> SessionManager {
@@ -59,10 +59,10 @@ fn bench_next_event(c: &mut Criterion) {
                 |b, &sessions| {
                     b.iter_batched(
                         || {
-                            let policy: Box<dyn SharePolicy> = if weighted {
-                                Box::new(WeightedFair::new())
+                            let policy = if weighted {
+                                SharePolicy::WeightedFair
                             } else {
-                                Box::new(RoundRobin::new())
+                                SharePolicy::RoundRobin
                             };
                             manager(sessions, policy)
                         },
@@ -94,7 +94,7 @@ fn bench_large_catalog(c: &mut Criterion) {
     ] {
         group.bench_function(variant.label(), |b| {
             b.iter_batched(
-                || manager_over(1, Box::new(RoundRobin::new()), 100_000, variant),
+                || manager_over(1, SharePolicy::RoundRobin, 100_000, variant),
                 |mut mgr| {
                     for _ in 0..256 {
                         let _ = mgr.next_event(Time::ZERO);
@@ -116,7 +116,7 @@ fn bench_prediction_routing(c: &mut Criterion) {
             BenchmarkId::from_parameter(sessions),
             &sessions,
             |b, &sessions| {
-                let mut mgr = manager(sessions, Box::new(RoundRobin::new()));
+                let mut mgr = manager(sessions, SharePolicy::RoundRobin);
                 let ids = mgr.session_ids();
                 let msg = ClientMessage::Predictor(PredictorState::LastRequest(RequestId(7)));
                 let mut i = 0usize;

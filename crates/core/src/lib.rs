@@ -22,9 +22,9 @@
 //!    cache's horizon, paced by a bandwidth estimator ([`bandwidth`]) and
 //!    served from a pluggable [`server::Backend`];
 //! 4. **multiplexes** many concurrent clients over one shared backend and
-//!    bandwidth budget ([`session::SessionManager`]), with a pluggable
-//!    [`session::SharePolicy`] dividing the wire between sessions, all
-//!    speaking the typed [`protocol`].
+//!    bandwidth budget ([`session::SessionManager`]), with a
+//!    [`session::SharePolicy`] (round-robin or weighted-fair) dividing the
+//!    wire between sessions, all speaking the typed [`protocol`].
 //!
 //! The sibling crates build substrates on top of this core: network link
 //! models (`khameleon-net`), data backends and progressive encoders
@@ -74,7 +74,7 @@
 //! ## Quick start: many clients
 //!
 //! A [`session::SessionManager`] serves N sessions from one backend, with a
-//! [`session::SharePolicy`] deciding whose block goes on the wire next:
+//! [`session::SharePolicy`] ordering whose block goes on the wire next:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -146,9 +146,7 @@ pub use scheduler::{
     TailShapePartition,
 };
 pub use server::{Backend, CatalogBackend, KhameleonServer, ServerBuilder, ServerConfig};
-pub use session::{
-    RoundRobin, Session, SessionBuilder, SessionManager, SessionShare, SharePolicy, WeightedFair,
-};
+pub use session::{Session, SessionBuilder, SessionManager, SharePolicy};
 pub use shard::{RebalancePolicy, ShardSnapshot, ShardStats, ShardedSessionManager};
 pub use types::{Bandwidth, BlockRef, Duration, RequestId, Time};
 pub use utility::{

@@ -11,17 +11,20 @@
 //!   sender queue, and the per-request sent bookkeeping.
 //! * [`SessionManager`] — owns N sessions plus the shared
 //!   [`Backend`](crate::server::Backend), and on every call to
-//!   [`next_event`](SessionManager::next_event) asks its [`SharePolicy`]
-//!   which session's block goes on the wire next.
-//! * [`SharePolicy`] — pluggable arbitration.  [`RoundRobin`] alternates
-//!   between sessions with work; [`WeightedFair`] divides the link in
-//!   proportion to per-session weights.
+//!   [`next_event`](SessionManager::next_event) picks which session's block
+//!   goes on the wire next from an ordered index of the sessions that may
+//!   have work, in `O(log sessions)`.
+//! * [`SharePolicy`] — the arbitration order.
+//!   [`RoundRobin`](SharePolicy::RoundRobin) alternates between sessions
+//!   with work; [`WeightedFair`](SharePolicy::WeightedFair) divides the link
+//!   in proportion to per-session weights.
 //!
 //! A single-client [`KhameleonServer`](crate::server::KhameleonServer) is a
 //! thin wrapper over one `Session` and one backend, so both deployments run
 //! exactly the same scheduling code.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
 use crate::bandwidth::BandwidthEstimator;
@@ -76,18 +79,8 @@ pub struct Session {
     /// a resync request.
     resync_requests: u64,
     closed: bool,
-    /// Memo that the last unconstrained [`next_block_ref`] returned `None`
-    /// and nothing has since arrived that could create work.  The manager
-    /// skips exhausted sessions when building arbitration candidates, so a
-    /// mostly-drained fleet costs `O(live)` per block instead of the
-    /// policy re-picking (and re-snapshotting) every drained session —
-    /// at 10k sessions that tail was quadratic.  Cleared by every protocol
-    /// message and every slot-duration change (the only inputs that can
-    /// re-open a drained scheduler); never set under a backend concurrency
-    /// limit, whose per-candidate allowance split must see the full set.
-    ///
-    /// [`next_block_ref`]: Session::next_block_ref
-    exhausted: bool,
+    /// The slot duration last handed to the scheduler.
+    slot: Duration,
 }
 
 /// What a protocol message did to the session, as far as the caller's event
@@ -110,7 +103,6 @@ impl Session {
 
     /// Handles one protocol message from this session's client.
     pub fn on_message(&mut self, message: &ClientMessage, now: Time) -> MessageOutcome {
-        self.exhausted = false;
         match message {
             ClientMessage::Predictor(state) => {
                 self.on_predictor_state(state, now);
@@ -193,8 +185,7 @@ impl Session {
     /// (§5.4) and re-calibrates the scheduler's slot duration.
     pub fn on_rate_report(&mut self, rate: Bandwidth) {
         self.bandwidth.report_rate(rate);
-        self.scheduler
-            .set_slot_duration(self.bandwidth.slot_duration(self.max_block_size()));
+        self.set_slot_duration(self.bandwidth.slot_duration(self.max_block_size()));
     }
 
     /// Whether the client asked to close this session.
@@ -207,7 +198,6 @@ impl Session {
     /// backend's limit, applied when the sender queue is refilled.
     pub fn next_block_ref(&mut self, concurrency_limit: Option<usize>) -> Option<BlockRef> {
         if self.closed {
-            self.exhausted = true;
             return None;
         }
         if self.queue.is_empty() {
@@ -219,11 +209,7 @@ impl Session {
             }
             self.refill_queue(concurrency_limit);
         }
-        let block = self.queue.pop_front();
-        if block.is_none() && concurrency_limit.is_none() {
-            self.exhausted = true;
-        }
-        block
+        self.queue.pop_front()
     }
 
     /// Records that `meta` was placed on the wire: advances the sender
@@ -293,8 +279,13 @@ impl Session {
     /// Directly re-calibrates the scheduler's slot duration (used by the
     /// manager when dividing shared bandwidth between sessions).
     pub fn set_slot_duration(&mut self, slot: Duration) {
-        self.exhausted = false;
+        self.slot = slot;
         self.scheduler.set_slot_duration(slot);
+    }
+
+    /// The slot duration the scheduler currently plans with.
+    pub(crate) fn slot_duration(&self) -> Duration {
+        self.slot
     }
 
     /// The scheduler's view of this client's cache.
@@ -486,8 +477,12 @@ impl SessionBuilder {
     }
 
     /// Sets the share weight used by weighted fair policies (default 1.0).
+    /// Panics unless `weight` is finite and positive.
     pub fn weight(mut self, weight: f64) -> Self {
-        assert!(weight > 0.0, "session weight must be positive");
+        assert!(
+            weight.is_finite() && weight > 0.0,
+            "session weight must be finite and positive"
+        );
         self.weight = weight;
         self
     }
@@ -544,106 +539,46 @@ impl SessionBuilder {
             delta_updates: 0,
             resync_requests: 0,
             closed: false,
-            exhausted: false,
+            slot,
         }
     }
 }
 
-/// A session's public share state, as seen by a [`SharePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SessionShare {
-    /// The session's id.
-    pub session: SessionId,
-    /// The session's share weight.
-    pub weight: f64,
-    /// Blocks sent on behalf of this session so far.
-    pub blocks_sent: u64,
-    /// Service counter for fair-queueing policies: `blocks_sent` plus the
-    /// virtual-time anchor assigned when the session joined, so late joiners
-    /// start at the current service level instead of monopolizing the wire
-    /// until their lifetime count catches up.
-    pub service: u64,
+/// The order in which a [`SessionManager`] offers the shared link to its
+/// sessions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SharePolicy {
+    /// Serves sessions with work in rotation, in id order.
+    RoundRobin,
+    /// Divides the link in proportion to session weights: always serves the
+    /// session with the lowest weighted service so far (`service / weight`,
+    /// where `service` is anchored at the wire's virtual time when the
+    /// session joins), i.e. a virtual-time weighted-fair queueing discipline
+    /// at block granularity.  Ties go to the lower id.
+    WeightedFair,
 }
 
-/// Decides which session's block goes on the wire next.
-///
-/// `ready` lists the sessions that may still have work, in ascending id
-/// order; the policy returns an index into `ready`.  The manager calls the
-/// policy again (with the exhausted session removed) if the chosen session
-/// turns out to have nothing to send.
-pub trait SharePolicy: Send {
-    /// Picks the next session to serve, as an index into `ready`.
-    fn pick(&mut self, ready: &[SessionShare]) -> Option<usize>;
-
+impl SharePolicy {
     /// Name used in logs and experiment reports.
-    fn name(&self) -> &'static str {
-        "share-policy"
-    }
-}
-
-/// Serves sessions in rotation, skipping those without work.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    last: Option<SessionId>,
-}
-
-impl RoundRobin {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        RoundRobin::default()
-    }
-}
-
-impl SharePolicy for RoundRobin {
-    fn pick(&mut self, ready: &[SessionShare]) -> Option<usize> {
-        if ready.is_empty() {
-            return None;
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            SharePolicy::RoundRobin => "round-robin",
+            SharePolicy::WeightedFair => "weighted-fair",
         }
-        let idx = match self.last {
-            Some(last) => ready.iter().position(|s| s.session > last).unwrap_or(0),
-            None => 0,
-        };
-        self.last = Some(ready[idx].session);
-        Some(idx)
     }
 
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Divides the link in proportion to session weights: always serves the
-/// session with the lowest weighted service so far (`service / weight`,
-/// where `service` is anchored at the wire's virtual time when the session
-/// joins), i.e. a virtual-time weighted-fair queueing discipline at block
-/// granularity.
-#[derive(Debug, Default)]
-pub struct WeightedFair;
-
-impl WeightedFair {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        WeightedFair
-    }
-}
-
-impl SharePolicy for WeightedFair {
-    fn pick(&mut self, ready: &[SessionShare]) -> Option<usize> {
-        ready
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let va = (a.service + 1) as f64 / a.weight.max(f64::EPSILON);
-                let vb = (b.service + 1) as f64 / b.weight.max(f64::EPSILON);
-                va.partial_cmp(&vb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.session.cmp(&b.session))
-            })
-            .map(|(i, _)| i)
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted-fair"
+    /// The session's position in the ready index, before its id.
+    /// Round-robin orders by id alone.  Weighted-fair orders by the bits of
+    /// `(service + 1) / weight`: weights are finite and positive, so the
+    /// quotient is positive and not NaN, and the bits of such an `f64` sort
+    /// as its value does.
+    fn key(self, session: &Session) -> u64 {
+        match self {
+            SharePolicy::RoundRobin => 0,
+            SharePolicy::WeightedFair => {
+                ((session.service() + 1) as f64 / session.weight().max(f64::EPSILON)).to_bits()
+            }
+        }
     }
 }
 
@@ -657,8 +592,29 @@ impl SharePolicy for WeightedFair {
 /// [`on_message`](SessionManager::on_message); rate reports additionally
 /// update the shared estimate and re-divide per-session slot durations by
 /// weight.
+///
+/// Arbitration walks an ordered index of the sessions that may have work
+/// (see [`SharePolicy`]), so picking a block costs `O(log sessions)` and a
+/// session that ran dry costs nothing until an input re-admits it.
 pub struct SessionManager {
+    /// Live sessions, ascending by id.
     sessions: Vec<(SessionId, Session)>,
+    /// The ready index: `(policy key, id)` of every live session that may
+    /// have work, in the order arbitration offers them the wire.  A session
+    /// leaves it when an unconstrained
+    /// [`next_block_ref`](Session::next_block_ref) comes back empty, and
+    /// returns on any input that could give it work again: a protocol
+    /// message, a changed slot duration, a resume, or
+    /// [`session_mut`](Self::session_mut).  Under a backend concurrency
+    /// limit it holds every live session, since the allowance split counts
+    /// them all.
+    ready: BTreeSet<(u64, SessionId)>,
+    /// The session round-robin served (or tried) last.
+    cursor: Option<SessionId>,
+    /// Sessions handed out by [`session_mut`](Self::session_mut), out of the
+    /// ready index until the next pick re-keys them: the caller may have
+    /// changed their service.
+    rekey: Vec<SessionId>,
     /// Sessions detached from scheduling but kept alive for a resumable
     /// reconnect: `(id, session, expires_at)`.  A parked session holds its
     /// scheduler state, shadow summary, and model-cache refcounts, but is
@@ -676,7 +632,7 @@ pub struct SessionManager {
     resumed_total: u64,
     next_id: u64,
     backend: Box<dyn Backend>,
-    policy: Box<dyn SharePolicy>,
+    policy: SharePolicy,
     shared_bandwidth: BandwidthEstimator,
     /// One shared [`GreedyContext`] per distinct `(utility, catalog)` pair:
     /// the utility-class catalog and per-request block counts are
@@ -708,9 +664,12 @@ pub struct SessionManager {
 
 impl SessionManager {
     /// Creates a manager over `backend` with the given arbitration policy.
-    pub fn new(backend: Box<dyn Backend>, policy: Box<dyn SharePolicy>) -> Self {
+    pub fn new(backend: Box<dyn Backend>, policy: SharePolicy) -> Self {
         SessionManager {
             sessions: Vec::new(),
+            ready: BTreeSet::new(),
+            cursor: None,
+            rekey: Vec::new(),
             parked: Vec::new(),
             park_ttl: Duration::from_secs(30),
             parked_total: 0,
@@ -729,14 +688,40 @@ impl SessionManager {
         }
     }
 
-    /// Convenience: a manager with [`RoundRobin`] arbitration.
+    /// Convenience: a manager with [`SharePolicy::RoundRobin`] arbitration.
     pub fn round_robin(backend: Box<dyn Backend>) -> Self {
-        Self::new(backend, Box::new(RoundRobin::new()))
+        Self::new(backend, SharePolicy::RoundRobin)
     }
 
-    /// Convenience: a manager with [`WeightedFair`] arbitration.
+    /// Convenience: a manager with [`SharePolicy::WeightedFair`]
+    /// arbitration.
     pub fn weighted_fair(backend: Box<dyn Backend>) -> Self {
-        Self::new(backend, Box::new(WeightedFair::new()))
+        Self::new(backend, SharePolicy::WeightedFair)
+    }
+
+    /// Where session `id` sits in the id-sorted `sessions`, or where it
+    /// would be inserted.
+    fn position(&self, id: SessionId) -> Result<usize, usize> {
+        self.sessions.binary_search_by_key(&id, |(sid, _)| *sid)
+    }
+
+    /// The ready-index entry of the session at `idx` in `sessions`.
+    fn ready_entry(&self, idx: usize) -> (u64, SessionId) {
+        let (id, session) = &self.sessions[idx];
+        (self.policy.key(session), *id)
+    }
+
+    /// Puts the session at `idx` in the ready index (a no-op if it is
+    /// there).
+    fn admit(&mut self, idx: usize) {
+        let entry = self.ready_entry(idx);
+        self.ready.insert(entry);
+    }
+
+    /// Takes the session at `idx` out of the ready index.
+    fn retire(&mut self, idx: usize) {
+        let entry = self.ready_entry(idx);
+        self.ready.remove(&entry);
     }
 
     /// Caps the shared outgoing bandwidth budget.
@@ -767,10 +752,9 @@ impl SessionManager {
     /// if the id is already live; bumps the internal id allocator past `id`
     /// so a later [`add_session`](Self::add_session) cannot collide.
     pub fn add_session_with_id(&mut self, id: SessionId, mut builder: SessionBuilder) -> SessionId {
-        assert!(
-            !self.sessions.iter().any(|(sid, _)| *sid == id),
-            "session id {id} is already live"
-        );
+        let Err(at) = self.position(id) else {
+            panic!("session id {id} is already live");
+        };
         assert!(
             !self.parked.iter().any(|(sid, _, _)| *sid == id),
             "session id {id} is parked"
@@ -791,7 +775,8 @@ impl SessionManager {
         if virtual_time.is_finite() {
             session.service_base = (virtual_time * session.weight()).floor() as u64;
         }
-        self.sessions.push((id, session));
+        self.sessions.insert(at, (id, session));
+        self.admit(at);
         self.redivide_bandwidth();
         id
     }
@@ -897,13 +882,13 @@ impl SessionManager {
 
     /// Removes a session.  Returns `true` if it existed.
     pub fn remove_session(&mut self, id: SessionId) -> bool {
-        let before = self.sessions.len();
-        self.sessions.retain(|(sid, _)| *sid != id);
-        let removed = self.sessions.len() != before;
-        if removed {
-            self.redivide_bandwidth();
-        }
-        removed
+        let Ok(idx) = self.position(id) else {
+            return false;
+        };
+        self.retire(idx);
+        self.sessions.remove(idx);
+        self.redivide_bandwidth();
+        true
     }
 
     /// Sets how long a parked session survives on the logical clock before
@@ -923,9 +908,10 @@ impl SessionManager {
     /// a frozen clock (lockstep transport) parks never expire, which is the
     /// deterministic-replay-friendly default.
     pub fn park_session(&mut self, id: SessionId, now: Time) -> bool {
-        let Some(pos) = self.sessions.iter().position(|(sid, _)| *sid == id) else {
+        let Ok(pos) = self.position(id) else {
             return false;
         };
+        self.retire(pos);
         let (_, session) = self.sessions.remove(pos);
         let expires = now.saturating_add(self.park_ttl);
         self.parked.push((id, session, expires));
@@ -965,12 +951,10 @@ impl SessionManager {
                 session.service_base += target - current;
             }
         }
-        // The sessions vec is ascending by id (ids are allocated
-        // monotonically and appended); `RoundRobin` and
-        // `next_event_among`'s binary search both rely on that, so the
-        // resumed session goes back at its sorted position.
-        let at = self.sessions.partition_point(|(sid, _)| *sid < id);
+        // `id` is parked, so it is not live.
+        let at = self.position(id).unwrap_or_else(|at| at);
         self.sessions.insert(at, (id, session));
+        self.admit(at);
         self.resumed_total += 1;
         self.redivide_bandwidth();
         true
@@ -1029,19 +1013,15 @@ impl SessionManager {
         message: &ClientMessage,
         now: Time,
     ) -> Option<ServerEvent> {
-        let session = self
-            .sessions
-            .iter_mut()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, s)| s)?;
+        let idx = self.position(id).ok()?;
+        let outcome = self.sessions[idx].1.on_message(message, now);
         match message {
             ClientMessage::Close => {
-                session.on_message(message, now);
                 self.remove_session(id);
                 Some(ServerEvent::Closed { session: id })
             }
             ClientMessage::RateReport(_) => {
-                session.on_message(message, now);
+                self.admit(idx);
                 // Rate reports also feed the shared budget.  Each client
                 // only observes its own share of the wire, so the total is
                 // the *sum* of per-session estimates — feeding a single
@@ -1064,10 +1044,13 @@ impl SessionManager {
             }
             ClientMessage::Predictor(_)
             | ClientMessage::PredictorFull { .. }
-            | ClientMessage::PredictorDelta(_) => match session.on_message(message, now) {
-                MessageOutcome::NeedsResync => Some(ServerEvent::Resync { session: id }),
-                MessageOutcome::Handled => None,
-            },
+            | ClientMessage::PredictorDelta(_) => {
+                self.admit(idx);
+                match outcome {
+                    MessageOutcome::NeedsResync => Some(ServerEvent::Resync { session: id }),
+                    MessageOutcome::Handled => None,
+                }
+            }
         }
     }
 
@@ -1082,22 +1065,7 @@ impl SessionManager {
     /// the §5.4 schedule-shaping heuristic generalized to many clients, not
     /// an exact in-flight tracker.)
     pub fn next_event(&mut self, _now: Time) -> ServerEvent {
-        // Skipping exhausted sessions is outcome-identical to letting the
-        // policy pick and discard them: `WeightedFair` is a stateless min
-        // (absent entries cannot change which live session is minimal) and
-        // `RoundRobin`'s cursor ends at the block recipient either way.
-        // Under a concurrency limit the allowance split depends on the
-        // candidate count, so the full set is kept (and `exhausted` is
-        // never set on that path).
-        let filter_exhausted = self.backend.concurrency_limit().is_none();
-        let all: Vec<usize> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, s))| !filter_exhausted || !s.exhausted)
-            .map(|(i, _)| i)
-            .collect();
-        self.next_event_inner(all)
+        self.next_event_inner(None)
     }
 
     /// [`next_event`](SessionManager::next_event) restricted to the sessions
@@ -1113,56 +1081,84 @@ impl SessionManager {
             eligible.windows(2).all(|w| w[0] < w[1]),
             "eligible session list must be ascending"
         );
-        let filter_exhausted = self.backend.concurrency_limit().is_none();
-        let picked: Vec<usize> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, (id, s))| {
-                (!filter_exhausted || !s.exhausted) && eligible.binary_search(id).is_ok()
-            })
-            .map(|(i, _)| i)
-            .collect();
-        self.next_event_inner(picked)
+        self.next_event_inner(Some(eligible))
     }
 
-    fn next_event_inner(&mut self, indices: Vec<usize>) -> ServerEvent {
-        let n = indices.len().max(1);
-        let limits: Vec<Option<usize>> = match self.backend.concurrency_limit() {
-            None => vec![None; n],
-            Some(l) => {
-                let base = l / n;
-                let extra = l % n;
-                (0..n)
-                    .map(|i| Some(base + usize::from((i + n - self.budget_rotor % n) % n < extra)))
-                    .collect()
+    /// Offers the wire to the ready sessions (those in `eligible`, if
+    /// given) in policy order until one produces a block.  Weighted-fair
+    /// walks the index in key order; round-robin walks the ids after its
+    /// cursor, then wraps to the lowest id and stops at the cursor.  A
+    /// session that comes back empty or with an unresolvable reference is
+    /// passed over for the rest of the call.
+    fn next_event_inner(&mut self, eligible: Option<&[SessionId]>) -> ServerEvent {
+        for id in std::mem::take(&mut self.rekey) {
+            if let Ok(idx) = self.position(id) {
+                self.admit(idx);
             }
+        }
+        let limit = self.backend.concurrency_limit();
+        // Sessions sharing the backend limit this call, counted only when
+        // there is a limit to split.
+        let candidates = match (limit, eligible) {
+            (None, _) => 0,
+            (Some(_), None) => self.sessions.len(),
+            (Some(_), Some(eligible)) => self.known_among(eligible),
         };
-        self.budget_rotor = self.budget_rotor.wrapping_add(1);
-        let mut candidates: Vec<(usize, Option<usize>)> = indices.into_iter().zip(limits).collect();
-        while !candidates.is_empty() {
-            let ready: Vec<SessionShare> = candidates
-                .iter()
-                .map(|&(i, _)| {
-                    let (id, s) = &self.sessions[i];
-                    SessionShare {
-                        session: *id,
-                        weight: s.weight(),
-                        blocks_sent: s.blocks_sent(),
-                        service: s.service(),
-                    }
-                })
-                .collect();
-            let Some(pick) = self.policy.pick(&ready) else {
-                break;
+        let rotor = self.budget_rotor;
+        self.budget_rotor = rotor.wrapping_add(1);
+        let round_robin = self.policy == SharePolicy::RoundRobin;
+        // Round-robin resumes after its cursor; `stop` is where the wrapped
+        // walk ends.  Weighted-fair starts from the front, already wrapped.
+        let stop = self.cursor.filter(|_| round_robin).map(|id| (0, id));
+        let mut after = stop;
+        let mut wrapped = stop.is_none();
+        loop {
+            let next = match after {
+                Some(a) => self.ready.range((Excluded(a), Unbounded)).next(),
+                None => self.ready.first(),
             };
-            let (idx, limit) = candidates[pick];
-            let (id, session) = &mut self.sessions[idx];
-            let id = *id;
-            match session.next_block_ref(limit) {
+            let entry = match next.copied() {
+                None if !wrapped => {
+                    wrapped = true;
+                    after = None;
+                    continue;
+                }
+                None => break,
+                Some(e) if wrapped && stop.is_some_and(|s| e > s) => break,
+                Some(e) => e,
+            };
+            after = Some(entry);
+            let id = entry.1;
+            if eligible.is_some_and(|e| e.binary_search(&id).is_err()) {
+                continue;
+            }
+            let Ok(idx) = self.position(id) else {
+                self.ready.remove(&entry);
+                continue;
+            };
+            if round_robin {
+                self.cursor = Some(id);
+            }
+            // The session's share of the backend limit: the limit divided
+            // evenly between the candidates, the remainder to those whose
+            // rank (in id order) the rotor has reached this call.
+            let allowance = limit.map(|l| {
+                let n = candidates.max(1);
+                let rank = match eligible {
+                    None => idx,
+                    Some(e) => self.known_among(&e[..e.partition_point(|x| *x < id)]),
+                };
+                l / n + usize::from((rank + n - rotor % n) % n < l % n)
+            });
+            let session = &mut self.sessions[idx].1;
+            match session.next_block_ref(allowance) {
                 Some(block_ref) => {
                     if let Some(block) = self.backend.fetch(block_ref) {
                         session.commit(&block.meta);
+                        if !round_robin {
+                            self.ready.remove(&entry);
+                            self.admit(idx);
+                        }
                         self.blocks_sent += 1;
                         self.bytes_sent += block.meta.size;
                         return ServerEvent::Block { session: id, block };
@@ -1172,14 +1168,22 @@ impl SessionManager {
                     // a scheduler that keeps producing unresolvable refs
                     // cannot spin this loop forever; the next call serves it
                     // again.
-                    candidates.remove(pick);
                 }
-                None => {
-                    candidates.remove(pick);
+                // Nothing left without a limit: out of the index until an
+                // input re-admits it.  Under a limit an empty answer may
+                // just be a zero allowance, so the session stays.
+                None if limit.is_none() => {
+                    self.ready.remove(&entry);
                 }
+                None => {}
             }
         }
         ServerEvent::Idle
+    }
+
+    /// How many of `ids` are live sessions.
+    fn known_among(&self, ids: &[SessionId]) -> usize {
+        ids.iter().filter(|id| self.position(**id).is_ok()).count()
     }
 
     /// Re-divides the shared bandwidth estimate between sessions by weight,
@@ -1194,11 +1198,19 @@ impl SessionManager {
             return;
         }
         let total = self.shared_bandwidth.estimate();
-        for (_, session) in &mut self.sessions {
+        // With every session ready there is nobody to re-admit.
+        let some_drained = self.ready.len() < self.sessions.len();
+        for (id, session) in &mut self.sessions {
             let share = session.weight() / total_weight;
             let effective = Bandwidth(total.bytes_per_sec() * share);
             let slot = effective.transmit_time(session.catalog().max_block_size().max(1));
-            session.set_slot_duration(slot);
+            // Only a new slot duration can give a drained session work.
+            if slot != session.slot_duration() {
+                session.set_slot_duration(slot);
+                if some_drained {
+                    self.ready.insert((self.policy.key(session), *id));
+                }
+            }
         }
     }
 
@@ -1225,25 +1237,26 @@ impl SessionManager {
         self.sessions.len()
     }
 
-    /// Ids of the live sessions, in creation order.
+    /// Ids of the live sessions, ascending.
     pub fn session_ids(&self) -> Vec<SessionId> {
         self.sessions.iter().map(|(id, _)| *id).collect()
     }
 
     /// A live session by id.
     pub fn session(&self, id: SessionId) -> Option<&Session> {
-        self.sessions
-            .iter()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, s)| s)
+        let idx = self.position(id).ok()?;
+        Some(&self.sessions[idx].1)
     }
 
-    /// Mutable access to a live session by id.
+    /// Mutable access to a live session by id.  The session is re-admitted
+    /// to arbitration on the next pick, keyed on its state by then.
     pub fn session_mut(&mut self, id: SessionId) -> Option<&mut Session> {
-        self.sessions
-            .iter_mut()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, s)| s)
+        let idx = self.position(id).ok()?;
+        self.retire(idx);
+        if !self.rekey.contains(&id) {
+            self.rekey.push(id);
+        }
+        Some(&mut self.sessions[idx].1)
     }
 
     /// Total blocks sent across all sessions.
@@ -1283,7 +1296,7 @@ mod tests {
     }
 
     fn manager_with(
-        policy: Box<dyn SharePolicy>,
+        policy: SharePolicy,
         weights: &[f64],
         n: usize,
         blocks: u32,
@@ -1323,7 +1336,7 @@ mod tests {
 
     #[test]
     fn round_robin_splits_evenly() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 100, 10);
+        let (mut mgr, ids) = manager_with(SharePolicy::RoundRobin, &[1.0, 1.0], 100, 10);
         assert_eq!(mgr.policy_name(), "round-robin");
         let counts = drive(&mut mgr, 400);
         let a = counts[&ids[0]] as f64;
@@ -1335,7 +1348,7 @@ mod tests {
 
     #[test]
     fn weighted_fair_honours_weights() {
-        let (mut mgr, ids) = manager_with(Box::new(WeightedFair::new()), &[2.0, 1.0], 100, 10);
+        let (mut mgr, ids) = manager_with(SharePolicy::WeightedFair, &[2.0, 1.0], 100, 10);
         assert_eq!(mgr.policy_name(), "weighted-fair");
         let counts = drive(&mut mgr, 300);
         let heavy = counts[&ids[0]] as f64;
@@ -1350,7 +1363,7 @@ mod tests {
 
     #[test]
     fn sessions_track_independent_predictions() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 50, 4);
+        let (mut mgr, ids) = manager_with(SharePolicy::RoundRobin, &[1.0, 1.0], 50, 4);
         mgr.on_message(
             ids[0],
             &ClientMessage::Predictor(PredictorState::LastRequest(RequestId(7))),
@@ -1379,7 +1392,7 @@ mod tests {
 
     #[test]
     fn close_message_removes_session() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 20, 2);
+        let (mut mgr, ids) = manager_with(SharePolicy::RoundRobin, &[1.0, 1.0], 20, 2);
         assert_eq!(mgr.num_sessions(), 2);
         let ev = mgr.on_message(ids[0], &ClientMessage::Close, Time::ZERO);
         assert_eq!(ev, Some(ServerEvent::Closed { session: ids[0] }));
@@ -1403,7 +1416,7 @@ mod tests {
 
     #[test]
     fn rate_reports_redivide_shared_bandwidth() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 20, 2);
+        let (mut mgr, ids) = manager_with(SharePolicy::RoundRobin, &[1.0, 1.0], 20, 2);
         let before = mgr.pacing_interval();
         // Each client observes only its own share of the wire; once both
         // report a low rate, the shared estimate (their sum) drops and the
@@ -1598,7 +1611,7 @@ mod tests {
                 inner: CatalogBackend::new(cat.clone()),
                 limit: 4,
             }),
-            Box::new(RoundRobin::new()),
+            SharePolicy::RoundRobin,
         );
         let cfg = ServerConfig {
             scheduler: GreedySchedulerConfig {
@@ -1639,7 +1652,7 @@ mod tests {
                 inner: CatalogBackend::new(cat.clone()),
                 limit: 2,
             }),
-            Box::new(RoundRobin::new()),
+            SharePolicy::RoundRobin,
         );
         let cfg = ServerConfig {
             scheduler: GreedySchedulerConfig {
@@ -1732,13 +1745,38 @@ mod tests {
     #[test]
     fn weighted_fair_requires_positive_weight() {
         let cat = catalog(4, 2);
-        let result = std::panic::catch_unwind(|| Session::builder(utility(2), cat).weight(0.0));
-        assert!(result.is_err());
+        for weight in [0.0, f64::INFINITY, f64::NAN] {
+            let cat = cat.clone();
+            let result =
+                std::panic::catch_unwind(|| Session::builder(utility(2), cat).weight(weight));
+            assert!(result.is_err(), "weight {weight} was accepted");
+        }
+    }
+
+    #[test]
+    fn only_a_changed_slot_readmits_a_drained_session() {
+        // Every session caches the whole catalog, so the fleet drains and
+        // leaves the ready index.
+        let (mut mgr, ids) = manager_with(SharePolicy::WeightedFair, &[1.0, 2.0, 1.0], 4, 2);
+        let counts = drive(&mut mgr, 100);
+        assert_eq!(counts.values().sum::<usize>(), 3 * 8, "the fleet drains");
+        assert!(mgr.ready.is_empty());
+        // Re-dividing an unchanged budget leaves every slot as it was: the
+        // drained schedulers are not polled again.
+        let total = mgr.bandwidth_estimate();
+        mgr.set_shared_budget(total, None);
+        assert!(mgr.ready.is_empty());
+        assert_eq!(mgr.next_event(Time::ZERO), ServerEvent::Idle);
+        // A new budget changes every slot, and re-admits every session.
+        mgr.set_shared_budget(Bandwidth(total.bytes_per_sec() / 2.0), None);
+        assert_eq!(mgr.ready.len(), ids.len());
+        assert_eq!(mgr.next_event(Time::ZERO), ServerEvent::Idle);
+        assert!(mgr.ready.is_empty());
     }
 
     #[test]
     fn parked_session_is_invisible_until_resumed() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 50, 4);
+        let (mut mgr, ids) = manager_with(SharePolicy::RoundRobin, &[1.0, 1.0], 50, 4);
         mgr.on_message(
             ids[0],
             &ClientMessage::Predictor(PredictorState::LastRequest(RequestId(7))),
@@ -1778,7 +1816,7 @@ mod tests {
 
     #[test]
     fn park_ttl_evicts_on_the_logical_clock() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 20, 2);
+        let (mut mgr, ids) = manager_with(SharePolicy::RoundRobin, &[1.0, 1.0], 20, 2);
         mgr.set_park_ttl(Duration::from_millis(5));
         assert!(mgr.park_session(ids[0], Time::ZERO));
         // Before the TTL nothing is evicted and a resume still works.
@@ -1798,7 +1836,7 @@ mod tests {
 
     #[test]
     fn zero_ttl_parks_expire_immediately() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0], 20, 2);
+        let (mut mgr, ids) = manager_with(SharePolicy::RoundRobin, &[1.0], 20, 2);
         mgr.set_park_ttl(Duration::ZERO);
         assert!(mgr.park_session(ids[0], Time::ZERO));
         assert!(!mgr.resume_session(ids[0], Time::ZERO));
@@ -1810,7 +1848,7 @@ mod tests {
         // Two sessions with identical prediction histories share one model.
         // Parking one must keep the shared model alive; dropping the park
         // releases it.
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 50, 4);
+        let (mut mgr, ids) = manager_with(SharePolicy::RoundRobin, &[1.0, 1.0], 50, 4);
         for &id in &ids {
             mgr.on_message(
                 id,
@@ -1833,7 +1871,7 @@ mod tests {
 
     #[test]
     fn resume_reanchors_service_upward_only() {
-        let (mut mgr, ids) = manager_with(Box::new(WeightedFair::new()), &[1.0, 1.0], 100, 10);
+        let (mut mgr, ids) = manager_with(SharePolicy::WeightedFair, &[1.0, 1.0], 100, 10);
         // Let both run, then park A and let B pull far ahead.
         drive(&mut mgr, 40);
         let service_at_park = mgr.session(ids[0]).unwrap().service();
@@ -1851,7 +1889,7 @@ mod tests {
             "resumed session must be re-anchored at the frontier ({resumed} vs {frontier})"
         );
         // A lone session resumes bit-exactly: no frontier, no re-anchor.
-        let (mut solo, solo_ids) = manager_with(Box::new(RoundRobin::new()), &[1.0], 20, 2);
+        let (mut solo, solo_ids) = manager_with(SharePolicy::RoundRobin, &[1.0], 20, 2);
         drive(&mut solo, 5);
         let before = solo.session(solo_ids[0]).unwrap().service();
         assert!(solo.park_session(solo_ids[0], Time::ZERO));
@@ -1859,9 +1897,205 @@ mod tests {
         assert_eq!(solo.session(solo_ids[0]).unwrap().service(), before);
     }
 
+    /// splitmix64: a fixed, dependency-free stream for the parity scenarios.
+    struct ParityRng(u64);
+
+    impl ParityRng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d4_9bb1_3311_14eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// FNV-1a, folded one `u64` at a time.
+    fn fnv(mut h: u64, v: u64) -> u64 {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// One parity scenario: a seeded fleet driven through the manager
+    /// operations that touch arbitration.  Returns a digest of every
+    /// session's block sequence (folded in id order) followed by the global
+    /// interleaving of blocks and idles on the wire.
+    fn parity_digest(policy: SharePolicy, scenario: &str) -> u64 {
+        let drained = scenario == "drained";
+        let requests = if drained { 10 } else { 40 };
+        let cat = catalog(requests, 4);
+        let limited = scenario.starts_with("limited");
+        let backend: Box<dyn Backend> = if limited {
+            Box::new(LimitedCatalog {
+                inner: CatalogBackend::new(cat.clone()),
+                limit: 3,
+            })
+        } else {
+            Box::new(CatalogBackend::new(cat.clone()))
+        };
+        let mut mgr = SessionManager::new(backend, policy);
+        let round_robin = policy == SharePolicy::RoundRobin;
+        let mut rng = ParityRng(0x5eed ^ scenario.len() as u64 ^ u64::from(round_robin));
+        let add = |mgr: &mut SessionManager, rng: &mut ParityRng, cache_blocks: usize| {
+            let weight = [0.5, 1.0, 1.5, 2.0, 3.0][rng.below(5) as usize];
+            mgr.add_session(
+                Session::builder(utility(4), cat.clone())
+                    .config(ServerConfig {
+                        scheduler: GreedySchedulerConfig {
+                            cache_blocks,
+                            seed: rng.next(),
+                            ..Default::default()
+                        },
+                        sender_queue_target: 1 + rng.below(4) as usize,
+                        ..Default::default()
+                    })
+                    .weight(weight),
+            )
+        };
+        // A drained fleet caches its whole catalog, so every scheduler runs
+        // dry and the wire goes idle; elsewhere caches are mixed.
+        let cache = |rng: &mut ParityRng| {
+            if drained {
+                40
+            } else {
+                [8, 16, 160][rng.below(3) as usize]
+            }
+        };
+        let initial = if drained { 24 } else { 5 };
+        let mut ids: Vec<SessionId> = (0..initial)
+            .map(|_| {
+                let blocks = cache(&mut rng);
+                add(&mut mgr, &mut rng, blocks)
+            })
+            .collect();
+        let predict = |rng: &mut ParityRng| {
+            let state = if rng.below(2) == 0 {
+                PredictorState::LastRequest(RequestId(rng.below(requests as u64) as u32))
+            } else {
+                PredictorState::TopK(vec![
+                    (RequestId(rng.below(requests as u64) as u32), 0.6),
+                    (RequestId(rng.below(requests as u64) as u32), 0.3),
+                ])
+            };
+            ClientMessage::Predictor(state)
+        };
+        let mut per_session: std::collections::BTreeMap<SessionId, u64> = Default::default();
+        let mut wire = FNV_OFFSET;
+        let steps = if drained { 1_600 } else { 400 };
+        for step in 0..steps {
+            match (scenario, step) {
+                ("late_join", 60 | 150 | 151) => {
+                    let blocks = cache(&mut rng);
+                    ids.push(add(&mut mgr, &mut rng, blocks));
+                }
+                ("park_resume", 50) => assert!(mgr.park_session(ids[1], Time::ZERO)),
+                ("park_resume", 80) => assert!(mgr.park_session(ids[3], Time::ZERO)),
+                ("park_resume", 90) => assert!(mgr.resume_session(ids[3], Time::ZERO)),
+                ("park_resume", 150) => assert!(mgr.resume_session(ids[1], Time::ZERO)),
+                ("close", 70) | ("close", 120) => {
+                    let id = ids.remove(if step == 70 { 0 } else { 1 });
+                    let ev = mgr.on_message(id, &ClientMessage::Close, Time::ZERO);
+                    assert_eq!(ev, Some(ServerEvent::Closed { session: id }));
+                }
+                ("drained", 1_000 | 1_300) => {
+                    // Re-open part of the drained fleet, then re-divide.
+                    for &id in ids.iter().step_by(3) {
+                        mgr.on_message(id, &predict(&mut rng), Time::ZERO);
+                    }
+                    let rate = Bandwidth::from_mbps(2.0 + rng.below(8) as f64);
+                    mgr.on_message(ids[1], &ClientMessage::RateReport(rate), Time::ZERO);
+                }
+                // One late joiner that never drains, beside the drained rest.
+                ("drained", 1_200) => ids.push(add(&mut mgr, &mut rng, 8)),
+                _ => {}
+            }
+            if scenario == "rate_report" && rng.below(25) == 0 {
+                let id = ids[rng.below(ids.len() as u64) as usize];
+                let rate = Bandwidth::from_mbps(0.5 + rng.below(40) as f64 / 4.0);
+                mgr.on_message(id, &ClientMessage::RateReport(rate), Time::ZERO);
+            }
+            if !drained && rng.below(20) == 0 {
+                let id = ids[rng.below(ids.len() as u64) as usize];
+                mgr.on_message(id, &predict(&mut rng), Time::ZERO);
+            }
+            let event = if scenario.ends_with("among") {
+                // Ascending subsets of the live ids plus ids no session
+                // holds, and now and then nothing at all.
+                let mut eligible: Vec<SessionId> = ids
+                    .iter()
+                    .copied()
+                    .chain([SessionId(77), SessionId(1_000)])
+                    .filter(|_| rng.below(3) != 0)
+                    .collect();
+                if rng.below(10) == 0 {
+                    eligible.clear();
+                }
+                eligible.sort();
+                mgr.next_event_among(Time::ZERO, &eligible)
+            } else {
+                mgr.next_event(Time::ZERO)
+            };
+            match event {
+                ServerEvent::Block { session, block } => {
+                    let r = u64::from(block.meta.block.request.0);
+                    let b = u64::from(block.meta.block.index);
+                    let h = per_session.entry(session).or_insert(FNV_OFFSET);
+                    *h = fnv(fnv(*h, r), b);
+                    wire = fnv(fnv(fnv(wire, session.0), r), b);
+                }
+                ServerEvent::Idle => wire = fnv(wire, u64::MAX),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        let mut digest = FNV_OFFSET;
+        for (id, h) in &per_session {
+            digest = fnv(fnv(digest, id.0), *h);
+        }
+        fnv(digest, wire)
+    }
+
+    /// Pinned per-scenario digests of the block sequences, recorded before
+    /// arbitration moved onto the ordered ready index.  Any change to which
+    /// session a block goes to, or to a session's own schedule, changes one.
+    const PARITY_DIGESTS: [(&str, u64, u64); 8] = [
+        ("late_join", 0x933e204db11ce802, 0x23e07765b5969818),
+        ("park_resume", 0x73ef11c355b61f9e, 0xc8186073d7e64e62),
+        ("close", 0x59064b352b98e78a, 0x6a5cc21484660b0f),
+        ("rate_report", 0xcf7e533dded08422, 0x3aa64f8fc3c3aed0),
+        ("among", 0xee799c6c03182dbf, 0x2572478ac3c22268),
+        ("limited_among", 0x7ea25bb15b5aaa13, 0x7cce501ecae3a2de),
+        ("limited", 0xefd18797f855ada7, 0x2098404d784fe18f),
+        ("drained", 0x742a26d1d5ca616f, 0x89ca1136b0562684),
+    ];
+
+    #[test]
+    fn arbitration_matches_pinned_parity_digests() {
+        let mut got = Vec::new();
+        for (scenario, _, _) in PARITY_DIGESTS {
+            got.push((
+                scenario,
+                parity_digest(SharePolicy::RoundRobin, scenario),
+                parity_digest(SharePolicy::WeightedFair, scenario),
+            ));
+        }
+        assert_eq!(
+            got, PARITY_DIGESTS,
+            "(scenario, round-robin, weighted-fair)"
+        );
+    }
+
     #[test]
     fn earliest_expiring_park_is_the_shed_victim() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0, 1.0], 20, 2);
+        let (mut mgr, ids) = manager_with(SharePolicy::RoundRobin, &[1.0, 1.0, 1.0], 20, 2);
         mgr.set_park_ttl(Duration::from_millis(10));
         assert!(mgr.park_session(ids[1], Time::ZERO));
         assert!(mgr.park_session(ids[0], Time::from_millis(3)));

@@ -1,14 +1,12 @@
 //! Sharded session runtime: N worker threads, one shared bandwidth budget.
 //!
-//! The single-threaded [`SessionManager`] does `O(sessions)` work *per
-//! block* — every [`next_event`](SessionManager::next_event) rebuilds the
-//! candidate list, snapshots a [`SessionShare`](crate::session::SessionShare)
-//! per live session, and runs the share policy over all of them.  At ten
-//! thousand sessions that scan, not the scheduler, dominates.  The
-//! [`ShardedSessionManager`] partitions sessions round-robin across `N`
-//! worker threads, each running its own [`SessionManager`] over a shard-local
-//! policy instance, so per-block arbitration touches `sessions / N` entries
-//! (and on multi-core hosts the shards also *run* concurrently).
+//! The single-threaded [`SessionManager`] picks each block from an ordered
+//! ready index in `O(log sessions)`, so one thread's per-block cost barely
+//! grows with the fleet.  The [`ShardedSessionManager`] partitions sessions
+//! round-robin across `N` worker threads, each running its own
+//! [`SessionManager`], so on multi-core hosts the shards schedule
+//! concurrently; on one core sharding only shortens the logarithm (see
+//! `docs/SHARDING.md` for measurements).
 //!
 //! ## Budget ownership
 //!

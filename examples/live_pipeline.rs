@@ -17,7 +17,7 @@ use khameleon::backend::image::ImageCorpus;
 use khameleon::core::client::CacheManager;
 use khameleon::core::predictor::PredictorState;
 use khameleon::core::protocol::{ClientMessage, ServerEvent, SessionId};
-use khameleon::core::session::{Session, SessionManager, WeightedFair};
+use khameleon::core::session::{Session, SessionManager, SharePolicy};
 use khameleon::core::types::{RequestId, Time};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     // interactive session two blocks for every background block.
     let mut manager = SessionManager::new(
         Box::new(BlockStore::with_synthetic_payloads(catalog.clone())),
-        Box::new(WeightedFair::new()),
+        SharePolicy::WeightedFair,
     );
     let interactive =
         manager.add_session(Session::builder(utility.clone(), catalog.clone()).weight(2.0));

@@ -15,7 +15,7 @@ use khameleon::backend::image::ImageCorpus;
 use khameleon::core::client::CacheManager;
 use khameleon::core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use khameleon::core::protocol::ServerEvent;
-use khameleon::core::session::{Session, SessionManager, WeightedFair};
+use khameleon::core::session::{Session, SessionManager, SharePolicy};
 use khameleon::core::types::{Duration, RequestId, Time};
 use khameleon::transport::{TransportClient, TransportConfig, TransportServer};
 
@@ -43,7 +43,7 @@ fn main() {
     // background one (weight 1).
     let manager = SessionManager::new(
         Box::new(BlockStore::with_synthetic_payloads(catalog.clone())),
-        Box::new(WeightedFair::new()),
+        SharePolicy::WeightedFair,
     );
     let factory_catalog = catalog.clone();
     let factory_utility = utility.clone();

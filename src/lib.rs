@@ -47,9 +47,7 @@ pub mod prelude {
     pub use khameleon_core::server::{
         CatalogBackend, KhameleonServer, ServerBuilder, ServerConfig,
     };
-    pub use khameleon_core::session::{
-        RoundRobin, Session, SessionManager, SharePolicy, WeightedFair,
-    };
+    pub use khameleon_core::session::{Session, SessionManager, SharePolicy};
     pub use khameleon_core::types::{Bandwidth, BlockRef, Duration, RequestId, Time};
     pub use khameleon_core::utility::{LinearUtility, PiecewiseUtility, UtilityModel};
     pub use khameleon_sim::config::ExperimentConfig;

@@ -11,7 +11,7 @@ use khameleon::core::scheduler::{
     GreedyScheduler, GreedySchedulerConfig, OptimalScheduler, Scheduler,
 };
 use khameleon::core::server::{CatalogBackend, ServerBuilder, ServerConfig};
-use khameleon::core::session::{RoundRobin, Session, SessionManager, WeightedFair};
+use khameleon::core::session::{Session, SessionManager, SharePolicy};
 use khameleon::core::types::{Bandwidth, RequestId, Time};
 use khameleon::core::utility::{LinearUtility, PowerUtility, UtilityModel};
 
@@ -247,17 +247,12 @@ fn fairness_run(weights: &[f64], weighted: bool, steps: usize) -> Vec<usize> {
     let blocks = 10u32;
     let cat = catalog(n, blocks);
     let utility = UtilityModel::homogeneous(&LinearUtility, blocks);
-    let mut mgr = if weighted {
-        SessionManager::new(
-            Box::new(CatalogBackend::new(cat.clone())),
-            Box::new(WeightedFair::new()),
-        )
+    let policy = if weighted {
+        SharePolicy::WeightedFair
     } else {
-        SessionManager::new(
-            Box::new(CatalogBackend::new(cat.clone())),
-            Box::new(RoundRobin::new()),
-        )
+        SharePolicy::RoundRobin
     };
+    let mut mgr = SessionManager::new(Box::new(CatalogBackend::new(cat.clone())), policy);
     let ids: Vec<_> = weights
         .iter()
         .map(|&w| {
