@@ -13,7 +13,7 @@
 //! bandwidth-estimation loop over a real socket.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use khameleon_core::delta::DeltaTracker;
@@ -82,6 +82,15 @@ impl From<std::io::Error> for TransportError {
 impl From<WireError> for TransportError {
     fn from(e: WireError) -> Self {
         TransportError::Wire(e)
+    }
+}
+
+/// The legacy `io::Result` paths report wire errors as `InvalidData`.
+fn into_io_error(e: TransportError) -> std::io::Error {
+    match e {
+        TransportError::Io(e) => e,
+        TransportError::Wire(e) => std::io::Error::new(ErrorKind::InvalidData, e),
+        other => std::io::Error::other(other),
     }
 }
 
@@ -300,27 +309,12 @@ impl TransportClient {
     /// and received blocks feed the rate meter, emitting rate reports
     /// upstream when one is due.
     pub fn recv_event(&mut self) -> std::io::Result<ServerEvent> {
-        let mut scratch = [0u8; 16 * 1024];
-        loop {
-            if let Some(body) = self
-                .inbuf
-                .next_frame()
-                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?
-            {
-                let event = decode_server_event(&body)
-                    .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
-                self.note_event(&event)?;
-                return Ok(event);
-            }
-            let n = self.stream.read(&mut scratch)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            self.inbuf.extend(&scratch[..n]);
-        }
+        let event = self
+            .read_frame()
+            .and_then(|body| Ok(decode_server_event(body)?))
+            .map_err(into_io_error)?;
+        self.note_event(&event)?;
+        Ok(event)
     }
 
     /// Receives the next server event, transparently surviving connection
@@ -467,20 +461,23 @@ impl TransportClient {
 
     /// Reads one complete [`ServerFrame`] off the socket.
     fn read_server_frame(&mut self) -> Result<ServerFrame, TransportError> {
-        let mut scratch = [0u8; 16 * 1024];
-        loop {
-            if let Some(body) = self.inbuf.next_frame()? {
-                return Ok(decode_server_frame(&body)?);
-            }
-            let n = self.stream.read(&mut scratch)?;
-            if n == 0 {
+        let body = self.read_frame()?;
+        Ok(decode_server_frame(body)?)
+    }
+
+    /// The one read path: reads from the socket straight into the frame
+    /// buffer until a complete frame is buffered, and returns its body.
+    fn read_frame(&mut self) -> Result<&[u8], TransportError> {
+        while !self.inbuf.has_frame()? {
+            if self.inbuf.fill_from(&mut self.stream)? == 0 {
                 return Err(TransportError::Io(std::io::Error::new(
                     ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 )));
             }
-            self.inbuf.extend(&scratch[..n]);
         }
+        // `has_frame` just held, so the empty fallback is never taken.
+        Ok(self.inbuf.next_frame()?.unwrap_or_default())
     }
 
     fn note_event(&mut self, event: &ServerEvent) -> std::io::Result<()> {

@@ -1,12 +1,18 @@
 //! Nonblocking event-loop server over `std::net`.
 //!
 //! One thread owns a [`TcpListener`] plus every accepted connection and runs
-//! a readiness loop: accept new peers, drain readable sockets into the frame
-//! decoder, feed decoded [`ClientMessage`]s to the shared
-//! [`SessionManager`], pull the next scheduled blocks out of the manager,
-//! and flush per-connection outbound queues through nonblocking writes.
+//! a readiness loop: accept new peers, read readable sockets straight into
+//! each connection's [`FrameBuffer`] and decode the frames in place, feed
+//! decoded [`ClientMessage`]s to the shared [`SessionManager`], pull the
+//! next scheduled blocks out of the manager, and flush each connection's
+//! queued frames with one vectored write per batch.  A batch is the
+//! unwritten tail of the front frame plus the frames behind it, up to a
+//! fixed slice count, and it ends just before the next frame the
+//! [`FaultPlan`] names, so injected faults still hit exactly their frame.
 //! There is no async runtime — sockets are polled in `O(connections)` per
 //! tick, which is exactly the regime the loopback stress harness measures.
+//! The loop counts into a private [`ServerStats`] and publishes it once
+//! before each flush and once at the end of each pass.
 //!
 //! Two properties the tests lean on:
 //!
@@ -38,7 +44,7 @@
 //! no cross-shard coordination.  See `docs/SHARDING.md`.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -53,6 +59,12 @@ use khameleon_core::shard::{ShardSnapshot, ShardStats};
 use khameleon_core::types::{Duration, Time};
 
 use crate::wire::{encode_server_event_frame, encode_welcome, ClientFrame, FrameBuffer};
+
+/// Most slices one flush hands to a single `write_vectored` call: the tail
+/// of the front frame plus whole frames behind it.  Far below any
+/// platform's `IOV_MAX` (1024 on Linux), and the default queue depth, so a
+/// full queue usually leaves in one call.
+const FLUSH_BATCH: usize = 64;
 
 /// Salt mixed into session ids to derive resume tokens.  `splitmix64` is a
 /// bijection on `u64`, so globally unique session ids yield globally unique
@@ -166,18 +178,15 @@ struct Conn {
     inbuf: FrameBuffer,
     /// Encoded frames waiting for the socket; bounded by
     /// [`TransportConfig::max_queued_frames`].
-    outbuf: VecDeque<Vec<u8>>,
-    /// Byte offset already written of `outbuf.front()`.
-    front_written: usize,
+    out: OutQueue,
     /// Blocks this connection may still be sent (lockstep mode only).
     credits: u64,
     /// The peer half-closed or errored; flush what is queued, then drop.
     dying: bool,
     /// Cross-shard resume in flight: `(token, last_seq, target shard)`.
     pending_handoff: Option<(u64, u64, usize)>,
-    /// Frames fully written to the socket; the fault plan's frame key.
-    flushed_frames: u64,
-    /// Frame index the fault plan has been consulted up to (fire-once).
+    /// Frames below this index have had the fault plan consulted at the
+    /// front of the queue (fire-once).
     fault_checked: u64,
     /// Flush passes this connection remains frozen for (injected stall).
     stall_ticks: u64,
@@ -191,19 +200,78 @@ impl Conn {
             token: None,
             lane,
             inbuf: FrameBuffer::new(),
-            outbuf: VecDeque::new(),
-            front_written: 0,
+            out: OutQueue::default(),
             credits: 0,
             dying: false,
             pending_handoff: None,
-            flushed_frames: 0,
             fault_checked: 0,
             stall_ticks: 0,
         }
     }
 
-    fn queue_frame(&mut self, frame: Vec<u8>) {
-        self.outbuf.push_back(frame);
+    fn queue_frame(&mut self, frame: Arc<[u8]>) {
+        self.out.frames.push_back(frame);
+    }
+}
+
+/// A connection's encoded frames waiting for the socket, and how far the
+/// flush has got.  A frame is shared with the session's replay ring, never
+/// copied into it.
+#[derive(Default)]
+struct OutQueue {
+    frames: VecDeque<Arc<[u8]>>,
+    /// Bytes of `frames.front()` already written.
+    front_written: usize,
+    /// Frames fully written (or dropped by a fault); the fault plan's frame
+    /// key.
+    flushed: u64,
+}
+
+impl OutQueue {
+    /// Hands the queue to `out` in one `write_vectored` call: the unwritten
+    /// tail of the front frame, then whole frames, at most [`FLUSH_BATCH`]
+    /// slices, ending just before the first later frame whose index
+    /// `stop_before` names.  Returns the bytes written and the bytes offered.
+    fn write_batch(
+        &mut self,
+        out: &mut impl Write,
+        stop_before: impl Fn(u64) -> bool,
+    ) -> std::io::Result<(usize, usize)> {
+        let mut slices = [IoSlice::new(&[]); FLUSH_BATCH];
+        let (mut len, mut offered) = (0, 0);
+        for (j, frame) in self.frames.iter().take(FLUSH_BATCH).enumerate() {
+            if j > 0 && stop_before(self.flushed + j as u64) {
+                break;
+            }
+            let tail = if j == 0 {
+                &frame[self.front_written..]
+            } else {
+                frame
+            };
+            offered += tail.len();
+            slices[len] = IoSlice::new(tail);
+            len += 1;
+        }
+        let n = out.write_vectored(&slices[..len])?;
+        self.advance(n);
+        Ok((n, offered))
+    }
+
+    /// Records `n` more bytes written: moves through the queue from the
+    /// front, popping every frame now fully written and counting it in
+    /// `flushed`.
+    fn advance(&mut self, mut n: usize) {
+        while let Some(front) = self.frames.front() {
+            let left = front.len() - self.front_written;
+            if n < left {
+                self.front_written += n;
+                break;
+            }
+            n -= left;
+            self.frames.pop_front();
+            self.front_written = 0;
+            self.flushed += 1;
+        }
     }
 }
 
@@ -218,7 +286,7 @@ struct Resumable {
     /// Next sequence number to stamp (starts at 1; seq 0 is the legacy
     /// unsequenced path).
     next_seq: u64,
-    ring: VecDeque<(u64, Vec<u8>)>,
+    ring: VecDeque<(u64, Arc<[u8]>)>,
 }
 
 /// What travels over a shard's connection channel: a freshly accepted
@@ -272,21 +340,15 @@ impl TransportServer {
         let handle = std::thread::Builder::new()
             .name("khameleon-transport".into())
             .spawn(move || {
-                EventLoop {
-                    source: ConnSource::Listen(listener),
+                EventLoop::new(
+                    ConnSource::Listen(listener),
                     manager,
-                    factory: Box::new(factory),
+                    Box::new(factory),
                     config,
-                    conns: Vec::new(),
-                    shutdown: loop_shutdown,
-                    stats: loop_stats,
-                    scratch: vec![0u8; 64 * 1024],
-                    clock: ClockSource::new(),
-                    next_send: Time::ZERO,
-                    snapshot_out: None,
-                    resume_index: Vec::new(),
-                    next_lane: 0,
-                }
+                    loop_shutdown,
+                    loop_stats,
+                    None,
+                )
                 .run();
             })?;
         Ok(TransportServer {
@@ -405,8 +467,8 @@ impl ShardedTransportServer {
             let handle = std::thread::Builder::new()
                 .name(format!("khameleon-shard-io-{i}"))
                 .spawn(move || {
-                    EventLoop {
-                        source: ConnSource::Shard {
+                    EventLoop::new(
+                        ConnSource::Shard {
                             index: i,
                             streams: rx,
                             peers: loop_peers,
@@ -414,18 +476,12 @@ impl ShardedTransportServer {
                             ids: loop_ids,
                         },
                         manager,
-                        factory: Box::new(move || factory()),
-                        config: loop_config,
-                        conns: Vec::new(),
-                        shutdown: loop_shutdown,
+                        Box::new(move || factory()),
+                        loop_config,
+                        loop_shutdown,
                         stats,
-                        scratch: vec![0u8; 64 * 1024],
-                        clock: ClockSource::new(),
-                        next_send: Time::ZERO,
-                        snapshot_out: Some(snapshot),
-                        resume_index: Vec::new(),
-                        next_lane: 0,
-                    }
+                        Some(snapshot),
+                    )
                     .run();
                 })?;
             handles.push(handle);
@@ -605,21 +661,59 @@ struct EventLoop {
     config: TransportConfig,
     conns: Vec<Conn>,
     shutdown: Arc<AtomicBool>,
-    stats: Arc<Mutex<ServerStats>>,
-    scratch: Vec<u8>,
+    /// The loop's counters; only the loop writes them, and
+    /// [`publish_stats`](EventLoop::publish_stats) copies them to `shared`
+    /// before each flush and at the end of each pass.
+    stats: ServerStats,
+    /// What [`TransportServer::stats`] reads.
+    shared: Arc<Mutex<ServerStats>>,
+    /// Sessions eligible for the next block, ascending, each with its
+    /// connection's index; rebuilt per block in a reused allocation.
+    eligible: Vec<(SessionId, usize)>,
+    /// The ids of `eligible`, as the session manager takes them.
+    eligible_ids: Vec<SessionId>,
     clock: ClockSource,
     /// Earliest loop time (µs since start) the pacing gate opens again.
     next_send: Time,
     /// In sharded mode, where this shard publishes its session-layer
     /// counters each tick (merged by `ShardedTransportServer::shard_stats`).
     snapshot_out: Option<Arc<Mutex<ShardSnapshot>>>,
-    /// Resume state for every token this loop owns (live or parked).
+    /// Resume state for every token this loop owns (live or parked),
+    /// ascending by token.
     resume_index: Vec<Resumable>,
     /// Accept-order lane counter feeding [`Conn::lane`].
     next_lane: usize,
 }
 
 impl EventLoop {
+    fn new(
+        source: ConnSource,
+        manager: SessionManager,
+        factory: Box<dyn FnMut() -> SessionBuilder + Send>,
+        config: TransportConfig,
+        shutdown: Arc<AtomicBool>,
+        shared: Arc<Mutex<ServerStats>>,
+        snapshot_out: Option<Arc<Mutex<ShardSnapshot>>>,
+    ) -> EventLoop {
+        EventLoop {
+            source,
+            manager,
+            factory,
+            config,
+            conns: Vec::new(),
+            shutdown,
+            stats: ServerStats::default(),
+            shared,
+            eligible: Vec::new(),
+            eligible_ids: Vec::new(),
+            clock: ClockSource::new(),
+            next_send: Time::ZERO,
+            snapshot_out,
+            resume_index: Vec::new(),
+            next_lane: 0,
+        }
+    }
+
     fn run(mut self) {
         self.manager.set_park_ttl(self.config.park_ttl);
         while !self.shutdown.load(Ordering::SeqCst) {
@@ -630,9 +724,14 @@ impl EventLoop {
             progressed |= self.read_sockets();
             progressed |= self.dispatch_handoffs();
             progressed |= self.schedule_blocks();
+            // Published before the flush puts this pass on the wire, so a
+            // peer that has seen a frame also sees the counters behind it;
+            // again at the end for what the flush and reap counted.
+            self.publish_stats();
             progressed |= self.flush_sockets();
             self.reap_dead();
             self.publish_stats();
+            self.publish_snapshot();
             if !progressed {
                 std::thread::sleep(self.config.idle_wait);
             }
@@ -641,6 +740,7 @@ impl EventLoop {
         // reading, then let the sockets drop.
         self.flush_sockets();
         self.publish_stats();
+        self.publish_snapshot();
     }
 
     /// Live plus parked sessions have reached the admission cap.
@@ -657,20 +757,18 @@ impl EventLoop {
                         continue;
                     }
                     progressed = true;
-                    self.with_stats(|s| s.accepted += 1);
+                    self.stats.accepted += 1;
                     let lane = self.next_lane;
                     self.next_lane += 1;
                     let mut conn = Conn::new(stream, lane);
                     if self.at_capacity() {
                         // Graceful refusal: no session is created, the peer
                         // learns why, and the socket closes after the flush.
-                        conn.queue_frame(encode_server_event_frame(0, &ServerEvent::Busy));
+                        conn.queue_frame(encode_server_event_frame(0, &ServerEvent::Busy).into());
                         conn.dying = true;
                         self.conns.push(conn);
-                        self.with_stats(|s| {
-                            s.refused_sessions += 1;
-                            s.frames_out += 1;
-                        });
+                        self.stats.refused_sessions += 1;
+                        self.stats.frames_out += 1;
                         continue;
                     }
                     conn.session = Some(match self.source.forced_id() {
@@ -719,24 +817,23 @@ impl EventLoop {
                 continue;
             }
             loop {
-                let n = match self.conns[i].stream.read(&mut self.scratch) {
+                let conn = &mut self.conns[i];
+                match conn.inbuf.fill_from(&mut conn.stream) {
                     Ok(0) => {
                         // EOF: the client is gone.  Tear the session down so
                         // the scheduler stops planning slots for it.
                         self.disconnect(i);
                         break;
                     }
-                    Ok(n) => n,
+                    Ok(_) => {}
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         self.disconnect(i);
                         break;
                     }
-                };
+                }
                 progressed = true;
-                let bytes = self.scratch[..n].to_vec();
-                self.conns[i].inbuf.extend(&bytes);
                 if !self.drain_frames(i, now) {
                     break;
                 }
@@ -749,26 +846,24 @@ impl EventLoop {
     /// Returns `false` if the connection was torn down.
     fn drain_frames(&mut self, i: usize, now: Time) -> bool {
         loop {
-            let body = match self.conns[i].inbuf.next_frame() {
-                Ok(Some(body)) => body,
+            // Frames are decoded in place, borrowed from the buffer.
+            let frame = match self.conns[i].inbuf.next_frame() {
+                Ok(Some(body)) => crate::wire::decode_client_frame(body),
                 Ok(None) => return true,
-                Err(_) => {
-                    // A corrupt length prefix poisons the whole stream: there
-                    // is no resynchronization point, so drop the peer.
-                    self.with_stats(|s| s.decode_errors += 1);
-                    self.disconnect(i);
-                    return false;
-                }
+                Err(e) => Err(e),
             };
-            let frame = match crate::wire::decode_client_frame(&body) {
+            let frame = match frame {
                 Ok(frame) => frame,
                 Err(_) => {
-                    self.with_stats(|s| s.decode_errors += 1);
+                    // Garbage, or a corrupt length prefix that poisons the
+                    // whole stream (there is no resynchronization point):
+                    // drop the peer.
+                    self.stats.decode_errors += 1;
                     self.disconnect(i);
                     return false;
                 }
             };
-            self.with_stats(|s| s.frames_in += 1);
+            self.stats.frames_in += 1;
             match frame {
                 ClientFrame::Credit(n) => {
                     self.conns[i].credits = self.conns[i].credits.saturating_add(u64::from(n));
@@ -790,20 +885,16 @@ impl EventLoop {
                     };
                     match self.manager.on_message(session, &message, now) {
                         Some(event @ ServerEvent::Resync { .. }) => {
-                            self.with_stats(|s| {
-                                s.resyncs += 1;
-                                s.frames_out += 1;
-                            });
+                            self.stats.resyncs += 1;
+                            self.stats.frames_out += 1;
                             self.queue_event(i, &event);
                         }
                         Some(event @ ServerEvent::Closed { .. }) => {
                             // The manager already removed the session; tell
                             // the peer, flush, then drop the socket.  A clean
                             // close is final — nothing left to resume.
-                            self.with_stats(|s| {
-                                s.frames_out += 1;
-                                s.disconnected += 1;
-                            });
+                            self.stats.frames_out += 1;
+                            self.stats.disconnected += 1;
                             self.queue_event(i, &event);
                             self.conns[i].dying = true;
                             self.conns[i].session = None;
@@ -827,13 +918,10 @@ impl EventLoop {
             Some(token) => {
                 // Idempotent re-Hello: repeat the current Welcome.
                 let epoch = self
-                    .resume_index
-                    .iter()
-                    .find(|r| r.token == token)
-                    .map(|r| r.epoch)
-                    .unwrap_or(0);
-                self.conns[i].queue_frame(encode_welcome(token, epoch, session));
-                self.with_stats(|s| s.frames_out += 1);
+                    .resume_pos(token)
+                    .map_or(0, |pos| self.resume_index[pos].epoch);
+                self.conns[i].queue_frame(encode_welcome(token, epoch, session).into());
+                self.stats.frames_out += 1;
             }
         }
     }
@@ -843,13 +931,18 @@ impl EventLoop {
     fn make_resumable(&mut self, i: usize, session: SessionId) {
         let token = splitmix64(session.0 ^ TOKEN_SALT);
         self.conns[i].token = Some(token);
-        self.resume_index.push(Resumable {
-            token,
-            session,
-            epoch: 0,
-            next_seq: 1,
-            ring: VecDeque::new(),
-        });
+        if let Err(pos) = self.resume_pos(token) {
+            self.resume_index.insert(
+                pos,
+                Resumable {
+                    token,
+                    session,
+                    epoch: 0,
+                    next_seq: 1,
+                    ring: VecDeque::new(),
+                },
+            );
+        }
         if let ConnSource::Shard {
             index, directory, ..
         } = &self.source
@@ -859,8 +952,8 @@ impl EventLoop {
                 .unwrap_or_else(PoisonError::into_inner)
                 .insert(token, *index);
         }
-        self.conns[i].queue_frame(encode_welcome(token, 0, session));
-        self.with_stats(|s| s.frames_out += 1);
+        self.conns[i].queue_frame(encode_welcome(token, 0, session).into());
+        self.stats.frames_out += 1;
     }
 
     /// Resolves a `Resume { token, last_seq }` for `conns[i]`:
@@ -874,7 +967,7 @@ impl EventLoop {
     /// 3. Token owned by a sibling shard (first hop only) → mark the
     ///    connection for handoff; `dispatch_handoffs` forwards it.
     fn handle_resume(&mut self, i: usize, token: u64, last_seq: u64, hops: u32, now: Time) {
-        if let Some(pos) = self.resume_index.iter().position(|r| r.token == token) {
+        if let Ok(pos) = self.resume_pos(token) {
             let session = self.resume_index[pos].session;
             if self.manager.is_parked(session) {
                 let gap = {
@@ -930,28 +1023,27 @@ impl EventLoop {
         // Its token (if any) differs from `token` — splitmix64 is injective
         // — so the entry we are resuming is untouched.
         self.release_accept_session(i);
-        let Some(entry) = self.resume_index.iter_mut().find(|r| r.token == token) else {
+        let Ok(pos) = self.resume_pos(token) else {
             return;
         };
+        let entry = &mut self.resume_index[pos];
         entry.epoch += 1;
         while entry.ring.front().is_some_and(|(s, _)| *s <= last_seq) {
             entry.ring.pop_front();
         }
         let session = entry.session;
         let epoch = entry.epoch;
-        let replay: Vec<Vec<u8>> = entry.ring.iter().map(|(_, f)| f.clone()).collect();
-        self.conns[i].session = Some(session);
-        self.conns[i].token = Some(token);
-        self.conns[i].queue_frame(encode_welcome(token, epoch, session));
-        let replayed = replay.len() as u64;
-        for frame in replay {
-            self.conns[i].queue_frame(frame);
+        let conn = &mut self.conns[i];
+        conn.session = Some(session);
+        conn.token = Some(token);
+        conn.queue_frame(encode_welcome(token, epoch, session).into());
+        let replayed = entry.ring.len() as u64;
+        for (_, frame) in &entry.ring {
+            conn.queue_frame(Arc::clone(frame));
         }
-        self.with_stats(|s| {
-            s.frames_out += 1 + replayed;
-            s.replayed_events += replayed;
-            s.resumed += 1;
-        });
+        self.stats.frames_out += 1 + replayed;
+        self.stats.replayed_events += replayed;
+        self.stats.resumed += 1;
     }
 
     /// A resume could not re-attach: keep serving this socket with a fresh
@@ -960,12 +1052,10 @@ impl EventLoop {
     fn fresh_fallback(&mut self, i: usize) {
         if self.conns[i].session.is_none() {
             if self.at_capacity() {
-                self.conns[i].queue_frame(encode_server_event_frame(0, &ServerEvent::Busy));
+                self.conns[i].queue_frame(encode_server_event_frame(0, &ServerEvent::Busy).into());
                 self.conns[i].dying = true;
-                self.with_stats(|s| {
-                    s.refused_sessions += 1;
-                    s.frames_out += 1;
-                });
+                self.stats.refused_sessions += 1;
+                self.stats.frames_out += 1;
                 return;
             }
             self.conns[i].session = Some(match self.source.forced_id() {
@@ -988,16 +1078,21 @@ impl EventLoop {
     /// Removes the resume entry tied to `conns[i]`'s token, if any.
     fn drop_resume_for_conn(&mut self, i: usize, shed: bool) {
         if let Some(token) = self.conns[i].token.take() {
-            if let Some(pos) = self.resume_index.iter().position(|r| r.token == token) {
+            if let Ok(pos) = self.resume_pos(token) {
                 self.remove_resume_entry(pos, shed);
             }
         }
     }
 
+    /// Where `token`'s resume entry is, or would be inserted.
+    fn resume_pos(&self, token: u64) -> Result<usize, usize> {
+        self.resume_index.binary_search_by_key(&token, |r| r.token)
+    }
+
     /// Drops resume entry `pos`, unregistering its token from the shard
     /// directory.  With `shed`, undelivered ring frames count as shed load.
     fn remove_resume_entry(&mut self, pos: usize, shed: bool) {
-        let entry = self.resume_index.swap_remove(pos);
+        let entry = self.resume_index.remove(pos);
         if let ConnSource::Shard { directory, .. } = &self.source {
             directory
                 .lock()
@@ -1006,7 +1101,7 @@ impl EventLoop {
         }
         if shed && !entry.ring.is_empty() {
             let n = entry.ring.len() as u64;
-            self.with_stats(|s| s.shed_blocks += n);
+            self.stats.shed_blocks += n;
         }
     }
 
@@ -1051,27 +1146,28 @@ impl EventLoop {
     }
 
     /// Encodes `event` with the connection's next sequence number and
-    /// queues it, recording a copy in the replay ring.  Connections that
+    /// queues it, sharing the frame with the replay ring.  Connections that
     /// never said `Hello` use the legacy unsequenced (seq 0) encoding.
     fn queue_event(&mut self, i: usize, event: &ServerEvent) {
-        let token = self.conns[i].token;
+        let entry = self.conns[i].token.and_then(|t| self.resume_pos(t).ok());
         let mut shed = false;
-        let frame = match token.and_then(|t| self.resume_index.iter_mut().find(|r| r.token == t)) {
-            Some(entry) => {
+        let frame: Arc<[u8]> = match entry {
+            Some(pos) => {
+                let entry = &mut self.resume_index[pos];
                 let seq = entry.next_seq;
                 entry.next_seq += 1;
-                let frame = encode_server_event_frame(seq, event);
-                entry.ring.push_back((seq, frame.clone()));
+                let frame: Arc<[u8]> = encode_server_event_frame(seq, event).into();
+                entry.ring.push_back((seq, Arc::clone(&frame)));
                 if entry.ring.len() > self.config.replay_frames {
                     entry.ring.pop_front();
                     shed = true;
                 }
                 frame
             }
-            None => encode_server_event_frame(0, event),
+            None => encode_server_event_frame(0, event).into(),
         };
         if shed {
-            self.with_stats(|s| s.shed_blocks += 1);
+            self.stats.shed_blocks += 1;
         }
         self.conns[i].queue_frame(frame);
     }
@@ -1092,66 +1188,49 @@ impl EventLoop {
             // Sessions eligible for the next block: connection alive, queue
             // below capacity, and (lockstep) holding credit.
             let mut skipped = 0u64;
-            let mut eligible: Vec<SessionId> = Vec::with_capacity(self.conns.len());
-            for c in &self.conns {
+            self.eligible.clear();
+            for (i, c) in self.conns.iter().enumerate() {
                 let Some(session) = c.session else {
                     continue;
                 };
                 if c.dying || c.pending_handoff.is_some() {
                     continue;
                 }
-                if c.outbuf.len() >= self.config.max_queued_frames {
+                if c.out.frames.len() >= self.config.max_queued_frames {
                     skipped += 1;
                     continue;
                 }
                 if self.config.lockstep && c.credits == 0 {
                     continue;
                 }
-                eligible.push(session);
+                self.eligible.push((session, i));
             }
-            if skipped > 0 {
-                self.with_stats(|s| s.backpressure_skips += skipped);
-            }
-            if eligible.is_empty() {
+            self.stats.backpressure_skips += skipped;
+            if self.eligible.is_empty() {
                 break;
             }
-            eligible.sort_unstable();
-            match self.manager.next_event_among(now, &eligible) {
-                ServerEvent::Idle | ServerEvent::Busy => break,
-                event @ ServerEvent::Block { session, .. } => {
-                    if let Some(i) = self.conns.iter().position(|c| c.session == Some(session)) {
-                        self.queue_event(i, &event);
-                        let conn = &mut self.conns[i];
-                        conn.credits = conn.credits.saturating_sub(1);
-                        let depth = conn.outbuf.len();
-                        self.with_stats(|s| {
-                            s.blocks_sent += 1;
-                            s.frames_out += 1;
-                            s.peak_queue_frames = s.peak_queue_frames.max(depth);
-                        });
-                        self.note_block_paced();
-                    }
-                    progressed = true;
-                }
-                event @ (ServerEvent::Closed { .. } | ServerEvent::Resync { .. }) => {
-                    let session = match event.session() {
-                        Some(id) => id,
-                        None => break,
-                    };
-                    if let Some(i) = self.conns.iter().position(|c| c.session == Some(session)) {
-                        self.queue_event(i, &event);
-                        if matches!(event, ServerEvent::Closed { .. }) {
-                            // The manager closed the session itself; resume
-                            // state dies with it.
-                            self.conns[i].dying = true;
-                            self.conns[i].session = None;
-                            self.drop_resume_for_conn(i, false);
-                        }
-                        self.with_stats(|s| s.frames_out += 1);
-                    }
-                    progressed = true;
-                }
-            }
+            self.eligible.sort_unstable();
+            self.eligible_ids.clear();
+            self.eligible_ids
+                .extend(self.eligible.iter().map(|&(session, _)| session));
+            // The manager yields a block of an eligible session, or `Idle`.
+            let event = self.manager.next_event_among(now, &self.eligible_ids);
+            let &ServerEvent::Block { session, .. } = &event else {
+                break;
+            };
+            let Ok(k) = self.eligible.binary_search_by_key(&session, |&(s, _)| s) else {
+                break;
+            };
+            let i = self.eligible[k].1;
+            self.queue_event(i, &event);
+            let conn = &mut self.conns[i];
+            conn.credits = conn.credits.saturating_sub(1);
+            let depth = conn.out.frames.len();
+            self.stats.blocks_sent += 1;
+            self.stats.frames_out += 1;
+            self.stats.peak_queue_frames = self.stats.peak_queue_frames.max(depth);
+            self.note_block_paced();
+            progressed = true;
         }
         progressed
     }
@@ -1178,18 +1257,19 @@ impl EventLoop {
     /// flushing.  `Some(false)`: stop flushing this connection.
     fn apply_flush_fault(&mut self, i: usize) -> Option<bool> {
         let lane = self.conns[i].lane;
-        let frame_idx = self.conns[i].flushed_frames;
+        let frame_idx = self.conns[i].out.flushed;
         let kind = self
             .config
             .fault_plan
             .as_ref()
             .and_then(|p| p.lookup(lane, frame_idx))?;
-        self.with_stats(|s| s.faults_injected += 1);
+        self.stats.faults_injected += 1;
         match kind {
             FaultKind::Drop => {
                 // The frame vanishes on the wire; the connection lives on.
-                self.conns[i].outbuf.pop_front();
-                self.conns[i].flushed_frames += 1;
+                let out = &mut self.conns[i].out;
+                out.frames.pop_front();
+                out.flushed += 1;
                 Some(true)
             }
             FaultKind::Delay { ticks } | FaultKind::Stall { ticks } => {
@@ -1202,7 +1282,8 @@ impl EventLoop {
                 // peer.  Park-vs-teardown decides what survives server-side;
                 // the client's strict decoder sees a short stream and
                 // reconnects.
-                let front = self.conns[i].outbuf.front().cloned().unwrap_or_default();
+                let front = self.conns[i].out.frames.front().cloned();
+                let front = front.as_deref().unwrap_or_default();
                 let keep = keep.min(front.len());
                 let _ = self.conns[i].stream.write_all(&front[..keep]);
                 let _ = self.conns[i].stream.flush();
@@ -1212,10 +1293,12 @@ impl EventLoop {
             FaultKind::Corrupt { offset, xor } => {
                 // Flip one payload byte past the length prefix: the frame
                 // stays well-framed but the strict decoder must reject it.
-                if let Some(front) = self.conns[i].outbuf.front_mut() {
+                // The replay ring shares the frame, so the flip lands on a
+                // private copy and a replay after resume sends it intact.
+                if let Some(front) = self.conns[i].out.frames.front_mut() {
                     if front.len() > 4 {
                         let pos = 4 + offset % (front.len() - 4);
-                        front[pos] ^= xor;
+                        Arc::make_mut(front)[pos] ^= xor;
                     }
                 }
                 None
@@ -1223,6 +1306,10 @@ impl EventLoop {
         }
     }
 
+    /// Hands each connection's queued frames to its socket, one vectored
+    /// write per batch.  A batch ends just before the next frame the fault
+    /// plan names, so every fault fires on the frame it is keyed to once
+    /// that frame reaches the front; without a plan no batch ends early.
     fn flush_sockets(&mut self) -> bool {
         let mut progressed = false;
         for i in 0..self.conns.len() {
@@ -1231,12 +1318,13 @@ impl EventLoop {
                 continue;
             }
             loop {
-                if self.conns[i].front_written == 0
-                    && self.conns[i].fault_checked == self.conns[i].flushed_frames
-                    && !self.conns[i].outbuf.is_empty()
-                {
+                let conn = &mut self.conns[i];
+                if conn.out.frames.is_empty() {
+                    break;
+                }
+                if conn.out.front_written == 0 && conn.fault_checked <= conn.out.flushed {
                     // Consult the fault plan exactly once per frame.
-                    self.conns[i].fault_checked += 1;
+                    conn.fault_checked = conn.out.flushed + 1;
                     match self.apply_flush_fault(i) {
                         None => {}
                         Some(true) => {
@@ -1250,22 +1338,18 @@ impl EventLoop {
                     }
                 }
                 let conn = &mut self.conns[i];
-                let Some(front) = conn.outbuf.front() else {
-                    break;
-                };
-                let remaining = &front[conn.front_written..];
-                match conn.stream.write(remaining) {
-                    Ok(0) => {
+                let (plan, lane) = (self.config.fault_plan.as_ref(), conn.lane);
+                let faulted = |frame| plan.is_some_and(|p| p.lookup(lane, frame).is_some());
+                match conn.out.write_batch(&mut conn.stream, faulted) {
+                    Ok((0, _)) => {
                         self.disconnect(i);
                         break;
                     }
-                    Ok(n) => {
+                    Ok((written, offered)) => {
                         progressed = true;
-                        conn.front_written += n;
-                        if conn.front_written == front.len() {
-                            conn.outbuf.pop_front();
-                            conn.front_written = 0;
-                            conn.flushed_frames += 1;
+                        if written < offered {
+                            // A short write: the socket buffer is full.
+                            break;
                         }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -1288,8 +1372,8 @@ impl EventLoop {
         self.conns[i].dying = true;
         let session = self.conns[i].session.take();
         let token = self.conns[i].token.take();
-        self.conns[i].outbuf.clear();
-        self.conns[i].front_written = 0;
+        self.conns[i].out.frames.clear();
+        self.conns[i].out.front_written = 0;
         let Some(session) = session else {
             return;
         };
@@ -1313,56 +1397,177 @@ impl EventLoop {
                 {
                     // The resume entry (ring, seq counter, directory slot)
                     // stays alive alongside the parked session state.
-                    self.with_stats(|s| {
-                        s.disconnected += 1;
-                        s.parked += 1;
-                    });
+                    self.stats.disconnected += 1;
+                    self.stats.parked += 1;
                     return;
                 }
             }
             // Parking disabled, refused, or the session is already gone:
             // the resume entry dies with the connection.
-            if let Some(pos) = self.resume_index.iter().position(|r| r.token == token) {
+            if let Ok(pos) = self.resume_pos(token) {
                 self.remove_resume_entry(pos, true);
             }
         }
         if self.manager.remove_session(session) {
-            self.with_stats(|s| s.disconnected += 1);
+            self.stats.disconnected += 1;
         }
     }
 
     fn reap_dead(&mut self) {
-        self.conns.retain(|c| !(c.dying && c.outbuf.is_empty()));
+        self.conns.retain(|c| !(c.dying && c.out.frames.is_empty()));
     }
 
+    /// Makes the loop's counters visible to [`TransportServer::stats`]:
+    /// one lock of the shared copy, not one per counted event.
     fn publish_stats(&mut self) {
-        let active = self.conns.iter().filter(|c| !c.dying).count() as u64;
-        let mut backpressure_skips = 0;
-        let mut replayed_events = 0;
-        let mut shed_blocks = 0;
-        let mut refused_sessions = 0;
-        self.with_stats(|s| {
-            s.active = active;
-            backpressure_skips = s.backpressure_skips;
-            replayed_events = s.replayed_events;
-            shed_blocks = s.shed_blocks;
-            refused_sessions = s.refused_sessions;
-        });
+        self.stats.active = self.conns.iter().filter(|c| !c.dying).count() as u64;
+        *self.shared.lock().unwrap_or_else(PoisonError::into_inner) = self.stats.clone();
+    }
+
+    /// In sharded mode, publishes this shard's session-layer counters.
+    fn publish_snapshot(&self) {
         if let Some(out) = &self.snapshot_out {
             // parked/resumed counters ride in via the manager's snapshot;
             // the transport-only counters are grafted on here.
             let mut snap = self.manager.stats_snapshot();
-            snap.backpressure_skips = backpressure_skips;
-            snap.replayed_events = replayed_events;
-            snap.shed_blocks = shed_blocks;
-            snap.refused_sessions = refused_sessions;
+            snap.backpressure_skips = self.stats.backpressure_skips;
+            snap.replayed_events = self.stats.replayed_events;
+            snap.shed_blocks = self.stats.shed_blocks;
+            snap.refused_sessions = self.stats.refused_sessions;
             *out.lock().unwrap_or_else(PoisonError::into_inner) = snap;
         }
     }
+}
 
-    fn with_stats(&self, f: impl FnOnce(&mut ServerStats)) {
-        if let Ok(mut s) = self.stats.lock() {
-            f(&mut s);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A socket stand-in that plays a script of write outcomes: a value
+    /// below `WOULD_BLOCK` accepts at most that many bytes (0 included), any
+    /// other is `WouldBlock`.  Past the script it accepts everything.
+    struct ScriptedSocket {
+        script: Vec<usize>,
+        step: usize,
+        wire: Vec<u8>,
+    }
+
+    const WOULD_BLOCK: usize = 48;
+
+    impl Write for ScriptedSocket {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
         }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let limit = match self.script.get(self.step) {
+                Some(&k) if k >= WOULD_BLOCK => {
+                    self.step += 1;
+                    return Err(ErrorKind::WouldBlock.into());
+                }
+                Some(&k) => k,
+                None => usize::MAX,
+            };
+            self.step += 1;
+            let mut n = 0;
+            for buf in bufs {
+                let take = (limit - n).min(buf.len());
+                self.wire.extend_from_slice(&buf[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever the socket accepts per call — short writes, writes of
+        /// zero bytes, `WouldBlock` mid-batch — the bytes on the wire are the
+        /// queued frames concatenated in order, `flushed` counts exactly the
+        /// frames fully on the wire, and no single write runs into a
+        /// fault-keyed frame that was not already at the front, or past
+        /// `FLUSH_BATCH` frames.
+        #[test]
+        fn batched_writes_put_the_frames_on_the_wire_in_order(
+            lens in collection::vec(1usize..40, 0..150),
+            script in collection::vec(0usize..64, 0..60),
+            faults in collection::vec(0u64..150, 0..6),
+        ) {
+            let frames: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (0..len).map(|j| (i * 7 + j) as u8).collect())
+                .collect();
+            let expected: Vec<u8> = frames.concat();
+            // ends[k]: wire bytes once frames 0..k are fully written.
+            let ends: Vec<usize> = std::iter::once(0)
+                .chain(frames.iter().scan(0, |end, f| {
+                    *end += f.len();
+                    Some(*end)
+                }))
+                .collect();
+            let mut queue = OutQueue::default();
+            for f in &frames {
+                queue.frames.push_back(f.as_slice().into());
+            }
+            let mut socket = ScriptedSocket { script, step: 0, wire: Vec::new() };
+            while !queue.frames.is_empty() {
+                let front = queue.flushed;
+                let before = socket.wire.len();
+                match queue.write_batch(&mut socket, |frame| faults.contains(&frame)) {
+                    Ok((written, offered)) => {
+                        prop_assert!(written <= offered);
+                        prop_assert_eq!(socket.wire.len(), before + written);
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(e.kind(), ErrorKind::WouldBlock);
+                        prop_assert_eq!(socket.wire.len(), before);
+                        prop_assert_eq!(queue.flushed, front);
+                    }
+                }
+                // The batch ended before the first fault-keyed frame behind
+                // the front, and within FLUSH_BATCH frames.
+                let stop = faults
+                    .iter()
+                    .copied()
+                    .filter(|&f| f > front)
+                    .min()
+                    .unwrap_or(u64::MAX)
+                    .min(front + FLUSH_BATCH as u64)
+                    .min(frames.len() as u64);
+                prop_assert!(socket.wire.len() <= ends[stop as usize]);
+                // Bookkeeping matches the wire exactly.
+                let done = ends.iter().filter(|&&e| e <= socket.wire.len()).count() - 1;
+                prop_assert_eq!(queue.flushed, done as u64);
+                prop_assert_eq!(queue.frames.len(), frames.len() - done);
+                prop_assert_eq!(queue.front_written, socket.wire.len() - ends[done]);
+                prop_assert_eq!(&socket.wire[..], &expected[..socket.wire.len()]);
+            }
+            prop_assert_eq!(socket.wire, expected);
+            prop_assert_eq!(queue.flushed, frames.len() as u64);
+        }
+    }
+
+    #[test]
+    fn advance_pops_only_fully_written_frames() {
+        let mut queue = OutQueue::default();
+        for len in [3usize, 2, 4] {
+            queue.frames.push_back(vec![0u8; len].into());
+        }
+        queue.advance(0);
+        queue.advance(2);
+        assert_eq!((queue.flushed, queue.front_written), (0, 2));
+        // Finishes frame 0 and all of frame 1, one byte into frame 2.
+        queue.advance(4);
+        assert_eq!((queue.flushed, queue.front_written), (2, 1));
+        queue.advance(3);
+        assert!(queue.frames.is_empty());
+        assert_eq!((queue.flushed, queue.front_written), (3, 0));
     }
 }

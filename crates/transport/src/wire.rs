@@ -47,6 +47,8 @@
 //! out-of-range ids are all rejected with a [`WireError`] instead of being
 //! passed to library types whose invariants they would violate.
 
+use std::io::Read;
+
 use khameleon_core::block::Block;
 use khameleon_core::delta::{PredictionDelta, SliceDelta};
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
@@ -431,7 +433,7 @@ fn get_delta(r: &mut Reader<'_>) -> Result<PredictionDelta, WireError> {
 
 /// Encodes a client frame as one wire frame (length prefix included).
 pub fn encode_client_frame(frame: &ClientFrame) -> Vec<u8> {
-    let mut body = vec![WIRE_VERSION];
+    let mut body = begin_frame(FRAME_CAPACITY);
     match frame {
         ClientFrame::Message(ClientMessage::Predictor(state)) => {
             body.push(0x01);
@@ -477,7 +479,11 @@ pub fn encode_server_event(event: &ServerEvent) -> Vec<u8> {
 /// Encodes a server event stamped with `seq` as one wire frame (length
 /// prefix included).
 pub fn encode_server_event_frame(seq: u64, event: &ServerEvent) -> Vec<u8> {
-    let mut body = vec![WIRE_VERSION];
+    let payload = match event {
+        ServerEvent::Block { block, .. } => block.payload.as_ref().map_or(0, Vec::len),
+        _ => 0,
+    };
+    let mut body = begin_frame(FRAME_CAPACITY + payload);
     match event {
         ServerEvent::Idle => {
             body.push(0x80);
@@ -519,18 +525,31 @@ pub fn encode_server_event_frame(seq: u64, event: &ServerEvent) -> Vec<u8> {
 
 /// Encodes the `Welcome` handshake reply as one wire frame.
 pub fn encode_welcome(token: u64, epoch: u64, session: SessionId) -> Vec<u8> {
-    let mut body = vec![WIRE_VERSION, 0x85];
+    let mut body = begin_frame(FRAME_CAPACITY);
+    body.push(0x85);
     put_varint(&mut body, token);
     put_varint(&mut body, epoch);
     put_varint(&mut body, session.0);
     finish_frame(body)
 }
 
-fn finish_frame(body: Vec<u8>) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_FRAME_LEN as usize);
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
+/// Capacity reserved for a frame beyond any block payload: enough for every
+/// fixed-size frame, so encoding one is a single allocation.
+const FRAME_CAPACITY: usize = 64;
+
+/// Starts a frame in one allocation: a length prefix to patch, then the
+/// version byte.
+fn begin_frame(capacity: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(capacity);
+    frame.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION]);
+    frame
+}
+
+/// Patches the length prefix of a frame started by [`begin_frame`].
+fn finish_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let len = frame.len() - 4;
+    debug_assert!(len <= MAX_FRAME_LEN as usize);
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
     frame
 }
 
@@ -675,15 +694,23 @@ fn check_version(r: &mut Reader<'_>) -> Result<(), WireError> {
 
 /// Incremental frame extractor for a nonblocking byte stream.
 ///
-/// Feed it whatever `read` returned; [`next_frame`](FrameBuffer::next_frame)
-/// yields complete payloads (without the length prefix) as they become
-/// available.  The length prefix itself is validated against
+/// [`fill_from`](FrameBuffer::fill_from) reads straight into the buffer's
+/// spare room (or [`extend`](FrameBuffer::extend) copies bytes in);
+/// [`next_frame`](FrameBuffer::next_frame) yields each complete payload
+/// (without the length prefix) as a slice borrowed from the buffer, so it
+/// is decoded in place.  The length prefix itself is validated against
 /// [`MAX_FRAME_LEN`] before any buffering decision depends on it.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
+    /// `buf[start..end]` is unconsumed; `buf[end..]` is spare room that is
+    /// already initialized, so a read into it zeroes nothing.
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
+
+/// Spare room [`FrameBuffer::fill_from`] guarantees before each read.
+const READ_CHUNK: usize = 16 * 1024;
 
 impl FrameBuffer {
     /// An empty buffer.
@@ -691,44 +718,79 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Appends freshly read bytes.
+    /// Appends bytes that were read elsewhere.
     pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact lazily: only when the dead prefix dominates the buffer.
-        if self.start > 4096 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(bytes);
+        self.reserve(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
-    /// Pops the next complete frame payload, if one is buffered.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
-            return Ok(None);
+    /// Performs one `read` from `src` straight into the buffer's spare room
+    /// and returns its result: the bytes read, `0` at end of stream.
+    pub fn fill_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        self.reserve(READ_CHUNK);
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Makes room for `additional` bytes after the unconsumed ones: first by
+    /// moving those to the front, then by growing (at least doubling).
+    fn reserve(&mut self, additional: usize) {
+        if self.buf.len() - self.end >= additional {
+            return;
         }
-        let mut len_bytes = [0u8; 4];
-        len_bytes.copy_from_slice(&avail[..4]);
-        let len = u32::from_le_bytes(len_bytes);
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let need = self.end + additional;
+        if self.buf.len() < need {
+            self.buf.resize(need.max(2 * self.buf.len()), 0);
+        }
+    }
+
+    /// The length (prefix included) of the buffered frame at the front, if
+    /// it is complete.
+    fn complete_frame_len(&self) -> Result<Option<usize>, WireError> {
+        let avail = &self.buf[self.start..self.end];
+        let Some(prefix) = avail.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix);
         if len > MAX_FRAME_LEN {
             return Err(WireError::TooLarge(len));
         }
         let total = 4 + len as usize;
-        if avail.len() < total {
+        Ok((avail.len() >= total).then_some(total))
+    }
+
+    /// Whether a complete frame is buffered, so the next
+    /// [`next_frame`](FrameBuffer::next_frame) yields it.
+    pub fn has_frame(&self) -> Result<bool, WireError> {
+        Ok(self.complete_frame_len()?.is_some())
+    }
+
+    /// Pops the next complete frame payload, if one is buffered.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let Some(total) = self.complete_frame_len()? else {
             return Ok(None);
-        }
-        let frame = avail[4..total].to_vec();
+        };
+        let body = self.start + 4..self.start + total;
         self.start += total;
-        if self.start == self.buf.len() {
-            self.buf.clear();
+        if self.start == self.end {
+            // Fully consumed: the next read starts at the front again.  The
+            // bytes stay in place, so the returned slice is still valid.
             self.start = 0;
+            self.end = 0;
         }
-        Ok(Some(frame))
+        Ok(Some(&self.buf[body]))
     }
 
     /// Bytes buffered but not yet consumed as frames.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Drains every unconsumed byte, leaving the buffer empty.  Used when a
@@ -736,9 +798,9 @@ impl FrameBuffer {
     /// receiving loop seeds its own buffer with exactly these bytes so no
     /// partially read frame is lost in transit.
     pub fn take_remaining(&mut self) -> Vec<u8> {
-        let rest = self.buf.split_off(self.start);
-        self.buf.clear();
+        let rest = self.buf[self.start..self.end].to_vec();
         self.start = 0;
+        self.end = 0;
         rest
     }
 }
@@ -842,11 +904,60 @@ mod tests {
         for &b in &stream {
             fb.extend(&[b]);
             while let Some(body) = fb.next_frame().expect("well-formed stream") {
-                out.push(decode_client_frame(&body).expect("decodes"));
+                out.push(decode_client_frame(body).expect("decodes"));
             }
         }
         assert_eq!(out.len(), 3);
         assert_eq!(fb.pending_bytes(), 0);
+    }
+
+    /// A reader that hands out at most `chunk` bytes per `read`.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn fill_from_reads_frames_in_place_across_compaction_and_growth() {
+        // Many small frames around one larger than the read chunk, so the
+        // buffer both compacts a partial frame to the front and grows.
+        let big = ClientFrame::Message(ClientMessage::Predictor(PredictorState::Opaque(
+            (0..3 * READ_CHUNK).map(|i| i as u8).collect(),
+        )));
+        let mut frames: Vec<ClientFrame> = (0..2_000).map(ClientFrame::Credit).collect();
+        frames.insert(1_000, big);
+        let stream: Vec<u8> = frames.iter().flat_map(encode_client_frame).collect();
+        for chunk in [1, 7, 4096, usize::MAX] {
+            let mut src = Trickle {
+                data: &stream,
+                chunk,
+            };
+            let mut fb = FrameBuffer::new();
+            let mut out = Vec::new();
+            loop {
+                while fb.has_frame().expect("well-formed stream") {
+                    let body = fb.next_frame().expect("well-formed stream");
+                    out.push(
+                        decode_client_frame(body.expect("a buffered frame")).expect("decodes"),
+                    );
+                }
+                assert_eq!(fb.next_frame(), Ok(None));
+                if fb.fill_from(&mut src).expect("in-memory read") == 0 {
+                    break;
+                }
+            }
+            assert_eq!(out, frames, "chunk {chunk}");
+            assert_eq!(fb.pending_bytes(), 0);
+        }
     }
 
     #[test]

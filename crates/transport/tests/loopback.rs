@@ -1,11 +1,12 @@
 //! Loopback integration tests: real sockets, the real event loop, the real
 //! session machinery.
 //!
-//! Covers the four transport guarantees the crate documents:
-//! disconnect cleanup (no slots planned for departed sessions), the
-//! generation-mismatch resync path, bounded outbound queues with
-//! backpressure, and block-for-block determinism of a lockstep TCP run
-//! against the in-process `SessionManager` path.
+//! Covers the transport guarantees the crate documents: disconnect cleanup
+//! (no slots planned for departed sessions), the generation-mismatch resync
+//! path, bounded outbound queues with backpressure, block-for-block
+//! determinism of a lockstep TCP run against the in-process
+//! `SessionManager` path, and downlink faults that hit their own frame
+//! inside a batched flush.
 
 use std::sync::Arc;
 
@@ -471,4 +472,130 @@ fn lockstep_tcp_run_matches_in_process_schedule() {
     // The workload above is delta-friendly: updates 2 and 3 must have gone
     // out as deltas, proving determinism holds *through* the O(Δ) path.
     assert!(client.delta_updates() >= 1, "no delta was exercised");
+}
+
+/// One raw Hello'd lockstep connection for the batched-flush fault test:
+/// connects, waits for the `Welcome` (downlink frame 0), then installs a
+/// prediction and grants `credits` in a single write, so the loop queues
+/// every credited block in one pass and the flush sees them as one batch.
+/// Block `seq` is downlink frame `seq`.
+fn raw_lockstep_conn(addr: std::net::SocketAddr, credits: u32) -> std::net::TcpStream {
+    use khameleon_transport::wire::{decode_server_frame, encode_client_frame};
+    use khameleon_transport::{ClientFrame, FrameBuffer, ServerFrame};
+    use std::io::Write as _;
+
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    raw.write_all(&encode_client_frame(&ClientFrame::Hello))
+        .expect("hello");
+    let mut buf = FrameBuffer::new();
+    while !buf.has_frame().expect("wire ok") {
+        assert!(buf.fill_from(&mut raw).expect("read welcome") > 0, "eof");
+    }
+    let welcome = decode_server_frame(buf.next_frame().expect("wire ok").expect("frame"));
+    assert!(
+        matches!(welcome, Ok(ServerFrame::Welcome { .. })),
+        "{welcome:?}"
+    );
+    let message = DeltaTracker::new().encode(&summary(40, &[(3, 0.6), (9, 0.3)], 0.1));
+    let mut uplink = encode_client_frame(&ClientFrame::Message(message));
+    uplink.extend(encode_client_frame(&ClientFrame::Credit(credits)));
+    raw.write_all(&uplink).expect("prediction and credits");
+    raw
+}
+
+/// Faults stay per frame under batched flushes: with twelve blocks queued
+/// behind one credit grant, a `Drop`, a `Corrupt` and a `Truncate` keyed to
+/// frame 5 each hit exactly frame 5 — not the start or end of the batch
+/// that carries frames 1..=4 — and the frames around it arrive intact.
+#[test]
+fn faults_fire_on_their_frame_inside_a_batched_flush() {
+    use khameleon_core::fault::{FaultKind, FaultPlan};
+    use khameleon_transport::wire::{decode_server_frame, WireError};
+    use khameleon_transport::{FrameBuffer, ServerFrame, WIRE_VERSION};
+
+    const K: u64 = 5;
+    const CREDITS: u32 = 12;
+    let plan = FaultPlan::new()
+        .with(0, K, FaultKind::Drop)
+        .with(
+            1,
+            K,
+            FaultKind::Corrupt {
+                offset: 0,
+                xor: 0xff,
+            },
+        )
+        .with(2, K, FaultKind::Truncate { keep: 3 });
+    let cat = catalog(40, 4, 64);
+    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let factory_cat = cat.clone();
+    let server = TransportServer::spawn(
+        "127.0.0.1:0",
+        manager,
+        move || builder(&factory_cat, 4),
+        TransportConfig {
+            lockstep: true,
+            fault_plan: Some(plan),
+            ..TransportConfig::default()
+        },
+    )
+    .expect("bind");
+
+    // Lanes follow accept order; each connection is welcomed before the
+    // next one connects.
+    let mut lanes: Vec<_> = (0..3)
+        .map(|_| raw_lockstep_conn(server.local_addr(), CREDITS))
+        .collect();
+
+    // Every downlink frame of a lane until `want` blocks were decoded or the
+    // server hung up: per frame, its seq or its decode error.  Returns the
+    // bytes of a trailing partial frame too.
+    let mut read_lane = |lane: usize, want: usize| {
+        let mut buf = FrameBuffer::new();
+        let mut frames: Vec<Result<u64, WireError>> = Vec::new();
+        loop {
+            while let Some(body) = buf.next_frame().expect("wire ok") {
+                frames.push(match decode_server_frame(body) {
+                    Ok(ServerFrame::Event {
+                        seq,
+                        event: ServerEvent::Block { .. },
+                    }) => Ok(seq),
+                    Ok(other) => panic!("lane {lane}: unexpected frame {other:?}"),
+                    Err(e) => Err(e),
+                });
+            }
+            if frames.len() == want || buf.fill_from(&mut lanes[lane]).expect("read") == 0 {
+                return (frames, buf.pending_bytes());
+            }
+        }
+    };
+    let blocks = |seqs: &[u64]| seqs.iter().map(|&s| Ok(s)).collect::<Vec<_>>();
+
+    // Drop: frame 5 never arrives; the stream goes on at frame 6.
+    let (frames, _) = read_lane(0, CREDITS as usize - 1);
+    assert_eq!(frames, blocks(&[1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12]));
+
+    // Corrupt: frame 5 arrives well-framed with its version byte flipped;
+    // its neighbours decode.
+    let (frames, _) = read_lane(1, CREDITS as usize);
+    let mut want = blocks(&[1, 2, 3, 4]);
+    want.push(Err(WireError::BadVersion(WIRE_VERSION ^ 0xff)));
+    want.extend(blocks(&[6, 7, 8, 9, 10, 11, 12]));
+    assert_eq!(frames, want);
+
+    // Truncate: frames 1..=4, then 3 bytes of frame 5, then the hang-up.
+    let (frames, partial) = read_lane(2, usize::MAX);
+    assert_eq!(frames, blocks(&[1, 2, 3, 4]));
+    assert_eq!(partial, 3);
+
+    wait_until(|| server.stats().parked == 1, "truncated lane parked");
+    let stats = server.stats();
+    assert_eq!(stats.faults_injected, 3);
+    assert!(
+        stats.peak_queue_frames >= CREDITS as usize,
+        "the credited blocks were queued together (peak {})",
+        stats.peak_queue_frames
+    );
 }

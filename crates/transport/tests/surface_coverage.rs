@@ -92,7 +92,7 @@ fn frame_buffer_take_remaining_hands_off_partial_frames_losslessly() {
     buf.extend(&partial);
     assert_eq!(
         buf.next_frame().expect("wire ok"),
-        Some(vec![0xAA, 0xBB, 0xCC])
+        Some(&[0xAA, 0xBB, 0xCC][..])
     );
     // The drained remainder is exactly the unconsumed bytes; the buffer is
     // left empty, ready to be dropped with its connection.
@@ -107,7 +107,7 @@ fn frame_buffer_take_remaining_hands_off_partial_frames_losslessly() {
     handed.extend(&[0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09]);
     assert_eq!(
         handed.next_frame().expect("wire ok"),
-        Some(vec![0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09])
+        Some(&[0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09][..])
     );
 }
 
